@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{Metrics, SecondPass, Sofa, SofaDistributed}
+import repro.core.{Sofa, SofaDistributed}
 import repro.data.Bipartite
 
 /** spark-submit entrypoint: run the sofa BMF pipeline on one surrogate
@@ -24,21 +24,15 @@ object RunSofa {
       val st = Bipartite.stats(left, planted.nRight)
       println(s"dataset=$dataset |U|=${st.mU} |V|=${st.nV} |E|=${st.edges} " +
         f"density=${st.density}%.4f avgDeg=${st.avgDeg}%.1f p99=${st.p99Deg}")
-      val cfg = Sofa.Config(
-        k = k, cMax = 20 * k, nRight = planted.nRight,
-        mgCapacity = math.max(3 * st.p99Deg, (0.05 * planted.nRight).toInt).max(8))
+      val cfg = Sofa.Config.forDataset(st, k)
       val centers = SofaDistributed.firstPass(left, cfg)
-      println(s"first pass: ${centers.length} centers, " +
+      println(s"first pass: ${centers.length} centers (cMax ${cfg.cMax}), " +
         s"total weight ${centers.map(_.weight).sum}")
-      Seq(0.3, 0.4, 0.5, 0.6, 0.7).foreach { theta =>
-        val cand = Sofa.postprocessPerCenter(centers, theta).filter(_.nnz > 0)
-        if (cand.isEmpty) println(f"theta=$theta%.1f: no candidate clusters")
-        else {
-          val (kept, assign) = SecondPass.topKBmf(left, cand, k)
-          val q = Metrics.bmfQuality(left, assign, kept)
-          println(f"theta=$theta%.1f: clusters=${kept.length} " +
-            f"gain=${q.relativeHammingGain}%.4f recall=${q.recall}%.4f")
-        }
+      SofaDistributed.bmfFromCenters(left, centers, k, Seq(0.3, 0.4, 0.5, 0.6, 0.7)).foreach { r =>
+        val q = r.quality
+        if (r.rightClusters.isEmpty) println(f"theta=${r.theta}%.1f: no candidate clusters")
+        else println(f"theta=${r.theta}%.1f: clusters=${r.rightClusters.length} " +
+          f"gain=${q.relativeHammingGain}%.4f recall=${q.recall}%.4f")
       }
     } finally spark.stop()
   }

@@ -16,6 +16,146 @@ final case class LeftVertex(u: Long, nbrs: Array[Int]) {
   */
 final case class LeftAssignment(u: Long, clusters: Array[Int])
 
+/** Column→cluster inverted index of a set of right clusters, in CSR
+  * form: the clusters containing column `j` are
+  * `members(start(j) until start(j + 1))`, in ascending order. Built
+  * once per cluster set on the driver and broadcast to the second pass.
+  * Columns at or past `cols` lie in no cluster.
+  */
+final class CoverIndex(val clusters: Array[SparseVec]) extends Serializable {
+  require(clusters.forall(c => c.isEmpty || c.idx(0) >= 0), "cluster columns must be non-negative")
+
+  def size: Int = clusters.length
+
+  private[core] val cols: Int =
+    clusters.foldLeft(0)((m, c) => if (c.isEmpty) m else math.max(m, c.idx.last + 1))
+
+  private[core] val start: Array[Int] = {
+    val s = new Array[Int](cols + 1)
+    clusters.foreach(_.idx.foreach(j => s(j + 1) += 1))
+    var j = 0
+    while (j < cols) { s(j + 1) += s(j); j += 1 }
+    s
+  }
+
+  private[core] val members: Array[Int] = {
+    val m = new Array[Int](start(cols))
+    val next = start.clone()
+    var i = 0
+    while (i < clusters.length) {
+      clusters(i).idx.foreach { j => m(next(j)) = i; next(j) += 1 }
+      i += 1
+    }
+    m
+  }
+}
+
+/** The greedy cover of Section 4.2 over one [[CoverIndex]], with
+  * scratch state reused across vertices (one instance per task).
+  *
+  * It keeps, per cluster `A`, `covered = |A ∩ Γ(u) ∖ Y|` and
+  * `over = |A ∖ (Γ(u) ∪ Y)|`, so `score(A | Γ(u), Y) = covered − over`.
+  * Only clusters sharing a column with `Γ(u)` can ever score above 0,
+  * and when a pick adds columns to `Y` only the clusters listed under
+  * those columns change. Picks, their order and their scores equal the
+  * naive rescan of every cluster in every round: the highest score
+  * wins, ties go to the lowest index, the loop stops when no score is
+  * positive or after `size` rounds.
+  */
+final class GreedyCover(index: CoverIndex) {
+  private val covered = new Array[Int](index.size)
+  private val over = new Array[Int](index.size)
+  private val seen = new Array[Int](index.size)
+  private val active = new Array[Int](index.size)
+  private val picks = new Array[Int](index.size)
+  private val gains = new Array[Long](index.size)
+  private val inG = new Array[Int](index.cols)
+  private val inY = new Array[Int](index.cols)
+  // Marks in `seen`, `inG` and `inY` count for the current vertex only
+  // when they equal `epoch`, so nothing is cleared between vertices.
+  private var epoch = 0
+
+  /** Greedily cover the sorted, distinct neighborhood `g`. */
+  def run(g: Array[Int]): GreedyCover.Result = {
+    if (epoch == Int.MaxValue) {
+      java.util.Arrays.fill(seen, 0); java.util.Arrays.fill(inG, 0); java.util.Arrays.fill(inY, 0)
+      epoch = 0
+    }
+    epoch += 1
+    val ix = index
+    var nActive = 0
+    var a = 0
+    while (a < g.length) {
+      val j = g(a)
+      if (j >= 0 && j < ix.cols) {
+        inG(j) = epoch
+        var p = ix.start(j)
+        while (p < ix.start(j + 1)) {
+          val i = ix.members(p)
+          if (seen(i) != epoch) { seen(i) = epoch; covered(i) = 0; active(nActive) = i; nActive += 1 }
+          covered(i) += 1
+          p += 1
+        }
+      }
+      a += 1
+    }
+    var q = 0
+    while (q < nActive) { val i = active(q); over(i) = ix.clusters(i).nnz - covered(i); q += 1 }
+
+    var nPicks = 0
+    var tp = 0
+    var coverSize = 0
+    var continue = true
+    while (continue && nPicks < ix.size) {
+      var best = -1; var bestScore = 0
+      q = 0
+      while (q < nActive) {
+        val i = active(q)
+        if (covered(i) == 0) {
+          // `covered` never grows again, so the score stays ≤ 0.
+          nActive -= 1; active(q) = active(nActive)
+        } else {
+          val s = covered(i) - over(i)
+          if (s > bestScore || (s == bestScore && best >= 0 && i < best)) { bestScore = s; best = i }
+          q += 1
+        }
+      }
+      if (best < 0) continue = false
+      else {
+        picks(nPicks) = best; gains(nPicks) = bestScore; nPicks += 1
+        val cols = ix.clusters(best).idx
+        var c = 0
+        while (c < cols.length) {
+          val j = cols(c)
+          if (inY(j) != epoch) {
+            inY(j) = epoch
+            coverSize += 1
+            val hit = inG(j) == epoch
+            if (hit) tp += 1
+            var p = ix.start(j)
+            while (p < ix.start(j + 1)) {
+              val i = ix.members(p)
+              if (seen(i) == epoch) { if (hit) covered(i) -= 1 else over(i) -= 1 }
+              p += 1
+            }
+          }
+          c += 1
+        }
+      }
+    }
+    GreedyCover.Result(
+      java.util.Arrays.copyOf(picks, nPicks), java.util.Arrays.copyOf(gains, nPicks), tp, coverSize)
+  }
+}
+
+object GreedyCover {
+
+  /** One vertex's cover: the picked clusters in order, the score each
+    * earned when taken, `|Γ(u) ∩ cover|` and `|cover|`.
+    */
+  final case class Result(picks: Array[Int], gains: Array[Long], truePositives: Int, coverSize: Int)
+}
+
 /** Second pass over the stream (Section 4): given the right clusters
   * `Ṽ_1..Ṽ_k` from the first pass, compute the left clusters. Each left
   * vertex is processed independently, so this is an embarrassingly
@@ -72,28 +212,8 @@ object SecondPass {
     * assigning `u` to every cluster used. At most one use per cluster
     * (re-use always scores 0) and at most `k` rounds.
     */
-  def coverVertex(g: SparseVec, rightClusters: Array[SparseVec]): Array[Int] = {
-    val picked = scala.collection.mutable.ArrayBuffer.empty[Int]
-    var y = SparseVec.empty
-    var continue = true
-    var rounds = 0
-    while (continue && rounds < rightClusters.length) {
-      var best = -1; var bestScore = 0
-      var i = 0
-      while (i < rightClusters.length) {
-        val s = score(rightClusters(i), g, y)
-        if (s > bestScore) { bestScore = s; best = i }
-        i += 1
-      }
-      if (best < 0) continue = false
-      else {
-        picked += best
-        y = y.union(rightClusters(best))
-        rounds += 1
-      }
-    }
-    picked.toArray
-  }
+  def coverVertex(g: SparseVec, rightClusters: Array[SparseVec]): Array[Int] =
+    new GreedyCover(new CoverIndex(rightClusters)).run(g.idx).picks
 
   /** Like [[coverVertex]] but also returns the score each pick earned
     * at the moment it was taken (needed for the `s_c` accounting of
@@ -103,54 +223,89 @@ object SecondPass {
       g: SparseVec,
       rightClusters: Array[SparseVec],
   ): Array[(Int, Long)] = {
-    val picked = scala.collection.mutable.ArrayBuffer.empty[(Int, Long)]
-    var y = SparseVec.empty
-    var continue = true
-    var rounds = 0
-    while (continue && rounds < rightClusters.length) {
-      var best = -1; var bestScore = 0
-      var i = 0
-      while (i < rightClusters.length) {
-        val s = score(rightClusters(i), g, y)
-        if (s > bestScore) { bestScore = s; best = i }
-        i += 1
-      }
-      if (best < 0) continue = false
-      else {
-        picked += ((best, bestScore.toLong))
-        y = y.union(rightClusters(best))
-        rounds += 1
-      }
-    }
-    picked.toArray
+    val r = new GreedyCover(new CoverIndex(rightClusters)).run(g.idx)
+    r.picks.zip(r.gains)
   }
 
+  /** One Spark job (Section 5.3 scoring, for all thresholds at once):
+    * for every cluster set, the score `s_c` each cluster accumulates
+    * over the greedy covers of all vertices.
+    */
+  def coverScores(
+      left: Dataset[LeftVertex],
+      sets: Seq[CoverIndex],
+  )(implicit spark: SparkSession): Array[Array[Long]] =
+    sumCovers(left, sets, _.size) { (acc, r, _) =>
+      var p = 0
+      while (p < r.picks.length) { acc(r.picks(p)) += r.gains(p); p += 1 }
+    }
+
+  /** One Spark job: for every cluster set, the reconstruction quality of
+    * covering each vertex greedily with that set.
+    */
+  def coverQuality(
+      left: Dataset[LeftVertex],
+      sets: Seq[CoverIndex],
+  )(implicit spark: SparkSession): Seq[Metrics.BmfQuality] =
+    sumCovers(left, sets, _ => 3) { (acc, r, lv) =>
+      acc(0) += r.truePositives; acc(1) += r.coverSize; acc(2) += lv.nbrs.length
+    }.map(a => Metrics.BmfQuality(a(0), a(1), a(2))).toSeq
+
+  /** Covers every vertex with every set in one pass, folding each
+    * cover into that set's array of `width(set)` sums with `add`; the
+    * partitions' arrays are summed on the driver.
+    */
+  private def sumCovers(
+      left: Dataset[LeftVertex],
+      sets: Seq[CoverIndex],
+      width: CoverIndex => Int,
+  )(add: (Array[Long], GreedyCover.Result, LeftVertex) => Unit)(
+      implicit spark: SparkSession): Array[Array[Long]] = {
+    val bc = spark.sparkContext.broadcast(sets.toArray)
+    left.rdd.mapPartitions { it =>
+      val covers = bc.value.map(new GreedyCover(_))
+      val acc = bc.value.map(ix => new Array[Long](width(ix)))
+      it.foreach { lv =>
+        var t = 0
+        while (t < covers.length) { add(acc(t), covers(t).run(lv.nbrs), lv); t += 1 }
+      }
+      Iterator.single(acc)
+    }.fold(sets.map(ix => new Array[Long](width(ix))).toArray) { (x, y) =>
+      x.indices.foreach(t => x(t).indices.foreach(i => x(t)(i) += y(t)(i)))
+      x
+    }
+  }
+
+  /** Lazily assign every vertex to the clusters of its greedy cover. */
+  def coverAssignments(
+      left: Dataset[LeftVertex],
+      set: CoverIndex,
+  )(implicit spark: SparkSession): Dataset[LeftAssignment] = {
+    import spark.implicits._
+    val bc = spark.sparkContext.broadcast(set)
+    left.mapPartitions { it =>
+      val cover = new GreedyCover(bc.value)
+      it.map(lv => LeftAssignment(lv.u, cover.run(lv.nbrs).picks))
+    }
+  }
+
+  /** Section 5.3: the indices of the `k` highest-scoring clusters, in
+    * ascending order (ties keep the lower index).
+    */
+  def topK(scores: Array[Long], k: Int): Array[Int] =
+    scores.indices.sortBy(i => -scores(i)).take(k).sorted.toArray
+
   /** Distributed BMF cover: returns the per-vertex assignments and the
-    * accumulated per-cluster scores `s_c` (Section 5.3), used to keep
-    * only the top-k candidate clusters.
+    * accumulated per-cluster scores `s_c` (Section 5.3) of the clusters
+    * picked at least once.
     */
   def coverBmf(
       left: Dataset[LeftVertex],
       rightClusters: Array[SparseVec],
   )(implicit spark: SparkSession): (Dataset[LeftAssignment], Map[Int, Long]) = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(rightClusters)
-    val withScores = left.map { lv =>
-      (lv.u, coverVertexWithScores(lv.vec, bc.value))
-    }.cache()
-    val assigned = withScores.map { case (u, picks) =>
-      LeftAssignment(u, picks.map(_._1))
-    }
-    val scores = withScores
-      .flatMap(_._2)
-      .groupByKey(_._1)
-      .mapValues(_._2)
-      .reduceGroups(_ + _)
-      .collect()
-      .map { case (i, s) => (i, s) }
-      .toMap
-    withScores.unpersist()
-    (assigned, scores)
+    val ix = new CoverIndex(rightClusters)
+    val scores = coverScores(left, Seq(ix)).head
+    (coverAssignments(left, ix), scores.indices.collect { case i if scores(i) > 0 => i -> scores(i) }.toMap)
   }
 
   /** Section 5.3: keep the `k` candidate clusters with the highest
@@ -162,14 +317,8 @@ object SecondPass {
       candidates: Array[SparseVec],
       k: Int,
   )(implicit spark: SparkSession): (Array[SparseVec], Dataset[LeftAssignment]) = {
-    val (_, scores) = coverBmf(left, candidates)
-    val keep = candidates.indices
-      .sortBy(i => -scores.getOrElse(i, 0L))
-      .take(k)
-      .sorted
-      .toArray
-    val kept = keep.map(candidates)
-    val (assign, _) = coverBmf(left, kept)
-    (kept, assign)
+    val scores = coverScores(left, Seq(new CoverIndex(candidates))).head
+    val kept = topK(scores, k).map(candidates)
+    (kept, coverAssignments(left, new CoverIndex(kept)))
   }
 }

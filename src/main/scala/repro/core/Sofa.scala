@@ -3,6 +3,8 @@ package repro.core
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
+import repro.data.Bipartite
+
 /** The sofa algorithm (Algorithm 2): one pass over the left vertices,
   * maintaining at most `cMax` weighted centers, each with a mergeable
   * Misra–Gries sketch of the right-vertex frequencies of the vertices
@@ -27,8 +29,10 @@ object Sofa {
     * @param mgCapacity  counters per Misra–Gries sketch (paper: max(3s, 0.05n))
     * @param alpha       asymmetric Hamming weight (1.0 = symmetric)
     * @param seed        RNG seed for the importance sampling
-    * @param maxRestarts safety cap on LB doublings; when exhausted the
-    *                    remaining stream is assigned greedily
+    * @param maxRestarts cap on LB doublings after which no vertex is
+    *                    sampled as a new center: each joins its closest
+    *                    center, though a cost overflow still doubles LB
+    *                    and re-streams
     */
   final case class Config(
       k: Int,
@@ -42,6 +46,19 @@ object Sofa {
     require(k >= 1, s"k must be >= 1, got $k")
     require(cMax > k, s"cMax ($cMax) must exceed k ($k)")
     require(nRight >= 1 && mgCapacity >= 1)
+  }
+
+  object Config {
+
+    /** The paper's real-data parameters (Section 6.2) for a dataset:
+      * sketch counters `max(3s, 0.05n)` with `s` the P99 left degree,
+      * and `c_max = 20k`, capped at `m/4` (DESIGN.md §4) but above `k`.
+      */
+    def forDataset(st: Bipartite.DatasetStats, k: Int): Config = {
+      val counters = math.max(3 * math.max(1, st.p99Deg), (0.05 * st.nV).toInt).max(8)
+      val cMax = math.max(k + 1, math.min(20 * k, st.mU.toInt / 4))
+      Config(k = k, cMax = cMax, nRight = st.nV.toInt, mgCapacity = counters)
+    }
   }
 
   /** A weighted center: representative vector, total assigned weight,

@@ -70,20 +70,9 @@ object SofaDistributed {
       left: Dataset[LeftVertex],
       cfg: Sofa.Config,
       thetas: Seq[Double],
-  )(implicit spark: SparkSession): Seq[BmfResult] = {
-    val centers = firstPass(left, cfg)
-    thetas.map { theta =>
-      val candidates = Sofa.postprocessPerCenter(centers, theta)
-        .filter(_.nnz > 0)
-      val (kept, assign) =
-        if (candidates.isEmpty) (Array.empty[SparseVec], SecondPass.assignBicluster(left, Array(SparseVec.empty)))
-        else SecondPass.topKBmf(left, candidates, cfg.k)
-      val q =
-        if (kept.isEmpty) Metrics.BmfQuality(0L, 0L, edgeCount(left))
-        else Metrics.bmfQuality(left, assign, kept)
-      BmfResult(theta, kept, assign, q)
-    }.sortBy(r => -r.quality.relativeHammingGain)
-  }
+  )(implicit spark: SparkSession): Seq[BmfResult] =
+    bmfFromCenters(left, firstPass(left, cfg), cfg.k, thetas)
+      .sortBy(r => -r.quality.relativeHammingGain)
 
   /** sofa-auto (Section 5.4): fit θ with the likelihood heuristic on
     * the first-pass centers, then run the BMF pipeline at that θ only.
@@ -94,20 +83,36 @@ object SofaDistributed {
   )(implicit spark: SparkSession): BmfResult = {
     val centers = firstPass(left, cfg)
     val theta = ThetaHeuristic.selectFromCenters(centers, cfg.nRight)
-    val candidates = Sofa.postprocessPerCenter(centers, theta).filter(_.nnz > 0)
-    if (candidates.isEmpty) {
-      BmfResult(theta, Array.empty,
-        SecondPass.assignBicluster(left, Array(SparseVec.empty)),
-        Metrics.BmfQuality(0L, 0L, edgeCount(left)))
-    } else {
-      val (kept, assign) = SecondPass.topKBmf(left, candidates, cfg.k)
-      BmfResult(theta, kept, assign, Metrics.bmfQuality(left, assign, kept))
-    }
+    bmfFromCenters(left, centers, cfg.k, Seq(theta)).head
   }
 
-  private def edgeCount(left: Dataset[LeftVertex])(implicit spark: SparkSession): Long = {
-    import spark.implicits._
-    if (left.isEmpty) 0L else left.map(_.nbrs.length.toLong).reduce(_ + _)
+  /** The BMF second pass for all thresholds at once (Sections 5.3–5.4),
+    * in two Spark jobs over `left`: one scores every θ's per-center
+    * candidates by greedy cover, the driver keeps each θ's top `k`, and
+    * one job covers with the kept clusters of every θ and sums TP,
+    * cover size and edges. Each θ's assignments stay a lazy dataset of
+    * the same cover. A θ without candidates keeps no cluster and
+    * scores `BmfQuality(0, 0, edges)`.
+    *
+    * @return one result per θ, in the order of `thetas`
+    */
+  def bmfFromCenters(
+      left: Dataset[LeftVertex],
+      centers: IndexedSeq[Sofa.Center],
+      k: Int,
+      thetas: Seq[Double],
+  )(implicit spark: SparkSession): Seq[BmfResult] = {
+    val candidates = thetas.map { t =>
+      new CoverIndex(Sofa.postprocessPerCenter(centers, t).filter(_.nnz > 0))
+    }
+    val scores = SecondPass.coverScores(left, candidates)
+    val kept = candidates.zip(scores).map { case (c, s) =>
+      new CoverIndex(SecondPass.topK(s, k).map(c.clusters))
+    }
+    val quality = SecondPass.coverQuality(left, kept)
+    thetas.indices.map { t =>
+      BmfResult(thetas(t), kept(t).clusters, SecondPass.coverAssignments(left, kept(t)), quality(t))
+    }
   }
 }
 

@@ -73,7 +73,9 @@ object ThetaHeuristic {
     bestTheta
   }
 
-  /** Convenience: fit on sofa centers after the k-medians grouping. */
+  /** Fit on the raw first-pass centers, one counter profile per center
+    * (no k-medians grouping), as the per-center BMF candidates are cut.
+    */
   def selectFromCenters(centers: Seq[Sofa.Center], nRight: Int): Double =
     select(
       centers.map(c => ClusterCounters(c.mg.entries.map(_._2).toArray, c.weight)),

@@ -13,11 +13,12 @@ import repro.data.Bipartite
   * estimate of the algorithm's live state size; the per-table benches
   * (and `jobs/RunTables`) format different views of the same rows.
   *
-  * Parameters follow Section 6.2, scaled as documented in DESIGN.md §4:
-  * `c_max = 20k`, sketch counters `max(3·s, 0.05·n)` with `s = P99` of
-  * the left degrees, sofa line search θ ∈ {0.3,…,0.7}, basso
-  * τ ∈ {0.4, 0.6} (paper: 4 values), RS sample m̃ = ñ = 300
-  * (paper: 15000, i.e. the same 1/50 scale as the data).
+  * Parameters follow Section 6.2, scaled as documented in DESIGN.md §4
+  * (`Sofa.Config.forDataset`): `c_max = 20k` capped at `m/4`, sketch
+  * counters `max(3·s, 0.05·n)` with `s = P99` of the left degrees, sofa
+  * line search θ ∈ {0.3,…,0.7}, basso τ ∈ {0.4, 0.6} (paper: 4
+  * values), RS sample m̃ = ñ = 300 (paper: 15000, i.e. the same 1/50
+  * scale as the data).
   */
 object RealWorldGrid {
 
@@ -53,32 +54,17 @@ object RealWorldGrid {
     val left = planted.left.cache()
     left.count() // materialize before timing anything
     val st = Bipartite.stats(left, planted.nRight)
-    val s = math.max(1, st.p99Deg)
-    val counters = math.max(3 * s, (0.05 * planted.nRight).toInt).max(8)
     val cells = scala.collection.mutable.ArrayBuffer.empty[Cell]
 
     // ---------------- sofa + sofa-auto (per k) ----------------------
     cfg.ks.foreach { k =>
-      // c_max = 20k as in the paper, but capped at m/4: the paper's
-      // datasets satisfy c_max ≪ m, and without the cap our 1/50-scale
-      // surrogates can have c_max ≥ m, which disables the center
-      // compression sofa relies on (every vertex becomes its own
-      // center and the candidate clusters degenerate).
-      val cMax = math.max(k + 1, math.min(20 * k, st.mU.toInt / 4))
-      val sofaCfg = Sofa.Config(
-        k = k, cMax = cMax, nRight = planted.nRight, mgCapacity = counters)
+      val sofaCfg = Sofa.Config.forDataset(st, k)
 
       // sofa (full line search over thetas)
       cells += timed(name, k, "sofa") { () =>
         val centers = SofaDistributed.firstPass(left, sofaCfg)
-        val best = cfg.thetas.map { theta =>
-          val cand = Sofa.postprocessPerCenter(centers, theta).filter(_.nnz > 0)
-          if (cand.isEmpty) Metrics.BmfQuality(0L, 0L, st.edges)
-          else {
-            val (kept, assign) = SecondPass.topKBmf(left, cand, k)
-            Metrics.bmfQuality(left, assign, kept)
-          }
-        }.maxBy(_.relativeHammingGain)
+        val best = SofaDistributed.bmfFromCenters(left, centers, k, cfg.thetas)
+          .map(_.quality).maxBy(_.relativeHammingGain)
         (best, StateSize.sofa(centers))
       }
 
@@ -86,13 +72,7 @@ object RealWorldGrid {
       cells += timed(name, k, "sofa-auto") { () =>
         val centers = SofaDistributed.firstPass(left, sofaCfg)
         val theta = ThetaHeuristic.selectFromCenters(centers, planted.nRight)
-        val cand = Sofa.postprocessPerCenter(centers, theta).filter(_.nnz > 0)
-        val q =
-          if (cand.isEmpty) Metrics.BmfQuality(0L, 0L, st.edges)
-          else {
-            val (kept, assign) = SecondPass.topKBmf(left, cand, k)
-            Metrics.bmfQuality(left, assign, kept)
-          }
+        val q = SofaDistributed.bmfFromCenters(left, centers, k, Seq(theta)).head.quality
         (q, StateSize.sofa(centers))
       }
 
@@ -104,13 +84,7 @@ object RealWorldGrid {
       ).foreach { case (algoName, algo) =>
         cells += timed(name, k, algoName) { () =>
           val run = RandomSubgraph.rightClusters(left, k, rsCfg, algo)
-          val cand = run.rightClusters.filter(_.nnz > 0)
-          val q =
-            if (cand.isEmpty) Metrics.BmfQuality(0L, 0L, st.edges)
-            else {
-              val (assign, _) = SecondPass.coverBmf(left, cand)
-              Metrics.bmfQuality(left, assign, cand)
-            }
+          val q = SecondPass.coverQuality(left, Seq(new CoverIndex(run.rightClusters))).head
           (q, StateSize.randomSubgraph(run, st))
         }
       }

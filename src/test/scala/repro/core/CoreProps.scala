@@ -86,3 +86,77 @@ object MisraGriesProps extends Properties("MisraGries") {
       mg.size <= cap
     }
 }
+
+/** Differential test of the indexed greedy cover against [[NaiveCover]]. */
+object GreedyCoverProps extends Properties("GreedyCover") {
+  import Prop.propBoolean
+
+  private val genSet: Gen[SparseVec] =
+    Gen.listOf(Gen.choose(0, 30)).map(l => SparseVec.fromArray(l.toArray))
+
+  /** Candidates over `[0, 30]`, some empty, some repeated. */
+  private val genCandidates: Gen[Array[SparseVec]] = for {
+    base <- Gen.listOf(Gen.frequency(8 -> genSet, 1 -> Gen.const(SparseVec.empty)))
+    repeats <- Gen.listOf(Gen.choose(0, 1000))
+  } yield {
+    val b = base.toArray
+    if (b.isEmpty) b else b ++ repeats.map(r => b(r % b.length))
+  }
+
+  /** A neighborhood built from some candidates plus noise, so covers
+    * take several rounds.
+    */
+  private def genG(cands: Array[SparseVec]): Gen[SparseVec] = for {
+    parts <- Gen.someOf(cands.toSeq)
+    noise <- genSet
+    drop <- genSet
+  } yield parts.foldLeft(noise)(_.union(_)).diff(drop)
+
+  private val genCase: Gen[(SparseVec, Array[SparseVec])] = for {
+    cands <- genCandidates
+    g <- genG(cands)
+  } yield (g, cands)
+
+  /** Same picks, order and scores as the naive loop, and TP and cover
+    * size equal to a recomputation from the union of the picks.
+    */
+  private def agrees(
+      g: SparseVec,
+      cands: Array[SparseVec],
+      cover: Option[GreedyCover] = None,
+  ): Prop = {
+    val ref = NaiveCover.coverVertexWithScores(g, cands)
+    val got = cover.getOrElse(new GreedyCover(new CoverIndex(cands))).run(g.idx)
+    val union = got.picks.foldLeft(SparseVec.empty)((y, i) => y.union(cands(i)))
+    (got.picks.toSeq == ref.map(_._1).toSeq) :| s"picks ${got.picks.toSeq} vs ${ref.toSeq}" &&
+      (got.gains.toSeq == ref.map(_._2).toSeq) :| s"gains ${got.gains.toSeq} vs ${ref.toSeq}" &&
+      (got.truePositives == g.intersectSize(union)) :| "true positives" &&
+      (got.coverSize == union.nnz) :| "cover size"
+  }
+
+  property("indexed cover equals the naive cover") = forAll(genCase) { case (g, c) => agrees(g, c) }
+
+  property("duplicate candidates: ties go to the lowest index") = forAll(genCase) { case (g, c) =>
+    val twice = c ++ c
+    agrees(g, twice) && new GreedyCover(new CoverIndex(twice)).run(g.idx).picks.forall(_ < c.length)
+  }
+
+  property("empty candidate array picks nothing") = forAll(genSet) { g =>
+    agrees(g, Array.empty) && new GreedyCover(new CoverIndex(Array.empty)).run(g.idx).picks.isEmpty
+  }
+
+  property("empty neighborhood picks nothing") = forAll(genCandidates) { c =>
+    agrees(SparseVec.empty, c) && new GreedyCover(new CoverIndex(c)).run(Array.emptyIntArray).picks.isEmpty
+  }
+
+  property("neighborhood columns outside every candidate") =
+    forAll(genCase, genSet) { case ((g, c), far) =>
+      agrees(g.union(SparseVec.fromArray(far.idx.map(_ + 100))), c)
+    }
+
+  property("one instance covers many vertices in turn") =
+    forAll(genCandidates, Gen.listOf(genSet)) { (c, gs) =>
+      val cover = Some(new GreedyCover(new CoverIndex(c)))
+      gs.foldLeft(Prop.passed)((p, g) => p && agrees(g, c, cover))
+    }
+}

@@ -76,6 +76,57 @@ class SofaDistributedSpec extends SparkSpec {
       s"auto θ=${res.theta} gain=${res.quality.relativeHammingGain}")
   }
 
+  /** The per-θ decomposition the fused pipeline replaces: candidates,
+    * naive greedy-cover scores summed on the driver, stable top-k, the
+    * naive cover by the kept clusters, then `Metrics.bmfQuality`.
+    */
+  private def reference(centers: IndexedSeq[Sofa.Center], theta: Double, k: Int) = {
+    import s.implicits._
+    val rows = left.collect()
+    val cand = Sofa.postprocessPerCenter(centers, theta).filter(_.nnz > 0)
+    val scores = new Array[Long](cand.length)
+    rows.foreach { lv =>
+      NaiveCover.coverVertexWithScores(lv.vec, cand).foreach { case (i, sc) => scores(i) += sc }
+    }
+    val kept = cand.indices.sortBy(i => -scores(i)).take(k).sorted.map(cand).toArray
+    val assign = rows.map(lv => LeftAssignment(lv.u, NaiveCover.coverVertex(lv.vec, kept)))
+    val q = Metrics.bmfQuality(left, s.createDataset(assign.toSeq), kept)
+    (theta, kept.toSeq, q, assign.map(a => a.u -> a.clusters.toSeq).sortBy(_._1).toSeq)
+  }
+
+  private def flat(r: SofaDistributed.BmfResult) =
+    (r.theta, r.rightClusters.toSeq, r.quality,
+      r.assignments.collect().map(a => a.u -> a.clusters.toSeq).sortBy(_._1).toSeq)
+
+  test("bmfPipeline equals the per-theta decomposition with the naive cover") {
+    val c = cfg()
+    val thetas = Seq(0.3, 0.4, 0.5, 0.6, 0.7, 1.5)
+    val centers = SofaDistributed.firstPass(left, c)
+    val expected = thetas.map(reference(centers, _, c.k)).sortBy(r => -r._3.relativeHammingGain)
+    val got = SofaDistributed.bmfPipeline(left, c, thetas).map(flat)
+    assert(got.map(_._1) == expected.map(_._1))
+    got.zip(expected).foreach { case (g, e) =>
+      assert(g._2 == e._2, s"kept clusters at θ=${g._1}")
+      assert(g._3 == e._3, s"quality at θ=${g._1}")
+      assert(g._4 == e._4, s"assignments at θ=${g._1}")
+    }
+  }
+
+  test("bmfAutoPipeline equals the decomposition at the heuristic theta") {
+    val c = cfg()
+    val centers = SofaDistributed.firstPass(left, c)
+    val theta = ThetaHeuristic.selectFromCenters(centers, c.nRight)
+    assert(flat(SofaDistributed.bmfAutoPipeline(left, c)) == reference(centers, theta, c.k))
+  }
+
+  test("a theta without candidates keeps nothing and scores (0, 0, edges)") {
+    val edges = Bipartite.stats(left, planted.nRight).edges
+    val r = SofaDistributed.bmfPipeline(left, cfg(), Seq(1.5)).head
+    assert(r.rightClusters.isEmpty)
+    assert(r.quality == Metrics.BmfQuality(0L, 0L, edges))
+    assert(r.assignments.collect().forall(_.clusters.isEmpty))
+  }
+
   test("PortableCenter round-trips a center") {
     val c = cfg()
     val center = Sofa.freshItem(SparseVec(1, 5, 9), c)

@@ -14,6 +14,13 @@ class SofaSpec extends SparkSpec {
     intercept[IllegalArgumentException](Sofa.Config(5, 5, 100, 10)) // cMax must exceed k
   }
 
+  test("forDataset derives the paper's parameters, cMax capped at m/4") {
+    def st(m: Long, n: Long, p99: Int) = repro.data.Bipartite.DatasetStats(m, n, 0L, 0.0, 0.0, p99)
+    assert(Sofa.Config.forDataset(st(100000, 10000, 40), 20) == Sofa.Config(20, 400, 10000, 500))
+    assert(Sofa.Config.forDataset(st(1000, 100, 40), 20) == Sofa.Config(20, 250, 100, 120))
+    assert(Sofa.Config.forDataset(st(40, 100, 0), 20) == Sofa.Config(20, 21, 100, 8))
+  }
+
   test("a single vertex becomes the single center") {
     val c = cfg(1, 100, cMax = 4)
     val out = Sofa.cluster(Iterator(Sofa.freshItem(SparseVec(1, 2, 3), c)), c)
