@@ -8,7 +8,24 @@ import org.apache.spark.sql.{Dataset, SparkSession}
   * reproduction.
   */
 final case class LeftVertex(u: Long, nbrs: Array[Int]) {
-  def vec: SparseVec = SparseVec.fromSortedDistinct(nbrs)
+
+  /** The neighborhood as a vector. Rejects `nbrs` that are not
+    * strictly increasing and non-negative, which every distance and
+    * intersection downstream relies on.
+    */
+  def vec: SparseVec = {
+    var i = 0
+    while (i < nbrs.length) {
+      val j = nbrs(i)
+      require(j >= 0, s"left vertex $u: negative neighbor index $j")
+      if (i > 0) {
+        require(j != nbrs(i - 1), s"left vertex $u: duplicate neighbor index $j")
+        require(j > nbrs(i - 1), s"left vertex $u: neighbors not sorted ($j after ${nbrs(i - 1)})")
+      }
+      i += 1
+    }
+    SparseVec.fromSortedDistinct(nbrs)
+  }
 }
 
 /** A left vertex with its (possibly multiple) cluster memberships, as

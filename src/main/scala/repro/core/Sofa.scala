@@ -87,12 +87,14 @@ object Sofa {
     */
   def cluster(items: Iterator[Center], cfg: Config): IndexedSeq[Center] = {
     val rng = new Random(cfg.seed)
+    val index = new CenterIndex(cfg.alpha)
     var lb = 1.0
     var restarts = 0
     var pending: Iterator[Center] = items
 
     while (true) {
       val centers = ArrayBuffer.empty[Center]
+      index.clear()
       val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
       var cost = 0.0
       var overflow = false
@@ -101,18 +103,15 @@ object Sofa {
         val u = pending.next()
         if (centers.isEmpty) {
           centers += u
+          index.add(u.vec)
         } else {
-          var best = 0; var bestD = Double.MaxValue
-          var j = 0
-          while (j < centers.length) {
-            val d = centers(j).vec.asymDistTo(u.vec, cfg.alpha)
-            if (d < bestD) { bestD = d; best = j }
-            j += 1
-          }
+          val best = index.nearest(u.vec)
+          val bestD = index.nearestDist
           val sampled = restarts < cfg.maxRestarts &&
             rng.nextDouble() < math.min(u.weight.toDouble * bestD / f, 1.0)
           if (sampled) {
             centers += u
+            index.add(u.vec)
             if (centers.length >= cfg.cMax) overflow = true
           } else {
             cost += u.weight.toDouble * bestD
@@ -202,16 +201,13 @@ object GreedyBicluster {
       mgCapacity: Int,
   ): Result = {
     val centers = ArrayBuffer.empty[Sofa.Center]
+    // With alpha = 1 the index distance is the symmetric Hamming distance.
+    val index = new CenterIndex(alpha = 1.0)
     stream.foreach { x =>
-      var best = -1; var bestD = Double.MaxValue
-      var j = 0
-      while (j < centers.length) {
-        val d = centers(j).vec.hamming(x).toDouble
-        if (d < bestD) { bestD = d; best = j }
-        j += 1
-      }
-      if (best < 0 || bestD > alphaDist) {
+      val best = index.nearest(x)
+      if (best < 0 || index.nearestDist > alphaDist) {
         centers += new Sofa.Center(x, 1L, MisraGries.ofVector(x, mgCapacity))
+        index.add(x)
       } else {
         val c = centers(best)
         c.weight += 1L
@@ -220,5 +216,106 @@ object GreedyBicluster {
     }
     val clusters = centers.map(c => Sofa.threshold(c.mg, theta, c.weight)).toArray
     Result(centers.toIndexedSeq, clusters)
+  }
+}
+
+/** Exact nearest-center search over the open centers of one clustering pass.
+  *
+  * Centers never change their vector once opened, so the index keeps a
+  * posting list per column with the centers that have it (in opening
+  * order) plus each center's `nnz`. A query walks the posting lists of
+  * the point's columns to count `|c ∩ u|` for every center, then makes
+  * one pass over the centers to evaluate
+  * `(|u| − ∩) + alpha·(|c| − ∩)` — the very expression of
+  * [[SparseVec.asymDistTo]], so every distance is bit-identical — and
+  * to reset the counts. A query therefore costs the summed posting-list
+  * lengths plus the number of centers, instead of one sorted merge per
+  * center. Ties go to the lowest center index, as in a linear scan
+  * with a strict `<`.
+  */
+private[core] final class CenterIndex(alpha: Double) {
+  private var size = 0
+  private var nnz = new Array[Int](16)
+  private var inter = new Array[Int](16)
+  private var vecs = new Array[SparseVec](16)
+  private var postings = new Array[Array[Int]](0)
+  private var postingLen = new Array[Int](0)
+
+  /** Distance from the last [[nearest]] query to its nearest center. */
+  var nearestDist: Double = Double.MaxValue
+
+  /** Open a center with vector `v`; its index is the number of centers
+    * opened since the last [[clear]].
+    */
+  def add(v: SparseVec): Unit = {
+    if (size == nnz.length) {
+      val cap = 2 * size
+      nnz = java.util.Arrays.copyOf(nnz, cap)
+      inter = java.util.Arrays.copyOf(inter, cap)
+      vecs = java.util.Arrays.copyOf(vecs, cap)
+    }
+    val cols = v.idx
+    require(cols.isEmpty || cols(0) >= 0, s"center columns must be non-negative, got ${cols(0)}")
+    if (cols.nonEmpty && cols.last >= postings.length) {
+      val n = math.max(cols.last + 1, 2 * postings.length)
+      postings = java.util.Arrays.copyOf(postings, n)
+      postingLen = java.util.Arrays.copyOf(postingLen, n)
+    }
+    var a = 0
+    while (a < cols.length) {
+      val j = cols(a)
+      val len = postingLen(j)
+      if (postings(j) == null) postings(j) = new Array[Int](4)
+      else if (len == postings(j).length) postings(j) = java.util.Arrays.copyOf(postings(j), 2 * len)
+      postings(j)(len) = size
+      postingLen(j) = len + 1
+      a += 1
+    }
+    nnz(size) = v.nnz
+    vecs(size) = v
+    size += 1
+  }
+
+  /** Drop every center; the posting arrays are kept for reuse. */
+  def clear(): Unit = {
+    var c = 0
+    while (c < size) {
+      val cols = vecs(c).idx
+      var a = 0
+      while (a < cols.length) { postingLen(cols(a)) = 0; a += 1 }
+      vecs(c) = null
+      c += 1
+    }
+    size = 0
+  }
+
+  /** Index of the center nearest to `u` (lowest index on ties), or −1
+    * when no center is open; its distance is left in [[nearestDist]].
+    */
+  def nearest(u: SparseVec): Int = {
+    val cols = u.idx
+    var a = 0
+    while (a < cols.length) {
+      val j = cols(a)
+      if (j >= 0 && j < postings.length) {
+        val list = postings(j)
+        val len = postingLen(j)
+        var p = 0
+        while (p < len) { inter(list(p)) += 1; p += 1 }
+      }
+      a += 1
+    }
+    val un = u.nnz
+    var best = -1; var bestD = Double.MaxValue
+    var c = 0
+    while (c < size) {
+      val i = inter(c)
+      val d = (un - i).toDouble + alpha * (nnz(c) - i).toDouble
+      inter(c) = 0
+      if (d < bestD) { bestD = d; best = c }
+      c += 1
+    }
+    nearestDist = bestD
+    best
   }
 }

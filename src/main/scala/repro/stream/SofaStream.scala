@@ -25,8 +25,8 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
 
   /** Fold one micro-batch into the state. */
   def update(batch: Dataset[LeftVertex])(implicit spark: SparkSession): Unit = {
-    if (batch.isEmpty) return
     val batchCenters = SofaDistributed.firstPass(batch, cfg)
+    if (batchCenters.isEmpty) return
     seen += batchCenters.map(_.weight).sum
     centerState = Sofa.cluster((centerState ++ batchCenters).iterator, cfg)
   }

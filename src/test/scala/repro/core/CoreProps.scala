@@ -160,3 +160,89 @@ object GreedyCoverProps extends Properties("GreedyCover") {
       gs.foldLeft(Prop.passed)((p, g) => p && agrees(g, c, cover))
     }
 }
+
+/** Differential test of the indexed first pass [[Sofa.cluster]]
+  * against the linear scan of [[NaiveSofa]].
+  */
+object SofaClusterProps extends Properties("SofaCluster") {
+  import Prop.propBoolean
+
+  override def overrideParameters(p: org.scalacheck.Test.Parameters): org.scalacheck.Test.Parameters =
+    p.withMinSuccessfulTests(300)
+
+  /** One stream item: its vector, plus the member vectors already merged
+    * into it (none for a fresh vertex).
+    */
+  private final case class Item(vec: SparseVec, members: List[SparseVec])
+
+  /** Columns, a few far above the others. */
+  private val genCol: Gen[Int] =
+    Gen.frequency(20 -> Gen.choose(0, 40), 1 -> Gen.choose(5000, 5010))
+
+  /** Mostly short vectors over few columns, so that distances to
+    * different centers often tie; some long ones, some empty.
+    */
+  private val genVec: Gen[SparseVec] = Gen.frequency(
+    6 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 8))).map(l => SparseVec.fromArray(l.toArray)),
+    3 -> Gen.listOf(genCol).map(l => SparseVec.fromArray(l.toArray)),
+    1 -> Gen.const(SparseVec.empty),
+  )
+
+  private val genItem: Gen[Item] = Gen.frequency(
+    4 -> genVec.map(Item(_, Nil)),
+    1 -> (for { v <- genVec; ms <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, genVec)) } yield Item(v, ms)),
+  )
+
+  /** Items, possibly none, with some repeated verbatim (duplicate vectors). */
+  private val genItems: Gen[Vector[Item]] = for {
+    base <- Gen.listOf(genItem)
+    repeats <- Gen.listOf(Gen.choose(0, 1000))
+  } yield {
+    val b = base.toVector
+    if (b.isEmpty) b else b ++ repeats.map(r => b(r % b.length))
+  }
+
+  private val genConfig: Gen[Sofa.Config] = for {
+    k <- Gen.choose(1, 3)
+    extra <- Gen.choose(1, 6)
+    cap <- Gen.choose(2, 12)
+    alpha <- Gen.oneOf(0.1, 1.0)
+    seed <- Gen.choose(0L, 1000L)
+    // Once `maxRestarts` is reached everything merges into the first
+    // re-streamed center, so only passes that still sample see ties
+    // between centers; a large cap lets LB grow until they merge.
+    maxRestarts <- Gen.frequency(1 -> Gen.choose(0, 3), 2 -> Gen.choose(4, 64))
+  } yield Sofa.Config(k = k, cMax = k + extra, nRight = 5011, mgCapacity = cap,
+    alpha = alpha, seed = seed, maxRestarts = maxRestarts)
+
+  /** Fresh centers for `items`: `cluster` mutates what it is given. */
+  private def centers(items: Vector[Item], cfg: Sofa.Config): Vector[Sofa.Center] =
+    items.map { it =>
+      val mg = MisraGries.ofVector(it.vec, cfg.mgCapacity)
+      it.members.foreach(m => mg.merge(MisraGries.ofVector(m, cfg.mgCapacity)))
+      new Sofa.Center(it.vec, 1L + it.members.length, mg)
+    }
+
+  /** Which input item each output center is, and what it holds. */
+  private def summary(in: Vector[Sofa.Center], out: IndexedSeq[Sofa.Center]) =
+    out.map(c => (in.indexWhere(_ eq c), c.vec, c.weight, c.mg.totalWeight, c.mg.entries.toSeq.sorted))
+
+  property("indexed first pass equals the naive scan") = forAll(genItems, genConfig) { (items, cfg) =>
+    val a = centers(items, cfg)
+    val b = centers(items, cfg)
+    var restarts = Set.empty[Boolean]
+    val ref = summary(b, NaiveSofa.cluster(b.iterator, cfg, restarts += _))
+    val got = summary(a, Sofa.cluster(a.iterator, cfg))
+    Prop.classify(restarts(true), "center overflow")(
+      Prop.classify(restarts(false), "cost overflow")(
+        (got == ref) :| s"got $got\nnaive $ref"))
+  }
+
+  property("generated streams restart on both center and cost overflow") = Prop {
+    val cases = Gen.listOfN(200, Gen.zip(genItems, genConfig))
+      .apply(Gen.Parameters.default, org.scalacheck.rng.Seed(1L)).get
+    var kinds = Set.empty[Boolean]
+    cases.foreach { case (items, cfg) => NaiveSofa.cluster(centers(items, cfg).iterator, cfg, kinds += _) }
+    kinds == Set(true, false)
+  }
+}

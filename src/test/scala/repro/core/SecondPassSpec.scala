@@ -12,6 +12,28 @@ class SecondPassSpec extends SparkSpec {
     s.createDataset(vs.zipWithIndex.map { case (v, i) => LeftVertex(i.toLong, v.idx) })
   }
 
+  // ---- left vertex validation -----------------------------------------
+
+  test("LeftVertex.vec accepts sorted, distinct, non-negative neighbors") {
+    assert(LeftVertex(1L, Array(0, 3, 7)).vec == SparseVec(0, 3, 7))
+    assert(LeftVertex(2L, Array.emptyIntArray).vec.isEmpty)
+  }
+
+  test("LeftVertex.vec rejects unsorted neighbors") {
+    val e = intercept[IllegalArgumentException](LeftVertex(7L, Array(1, 5, 3)).vec)
+    assert(e.getMessage.contains("left vertex 7") && e.getMessage.contains("not sorted"))
+  }
+
+  test("LeftVertex.vec rejects duplicate neighbors") {
+    val e = intercept[IllegalArgumentException](LeftVertex(7L, Array(1, 3, 3, 5)).vec)
+    assert(e.getMessage.contains("left vertex 7") && e.getMessage.contains("duplicate"))
+  }
+
+  test("LeftVertex.vec rejects negative neighbors") {
+    val e = intercept[IllegalArgumentException](LeftVertex(7L, Array(-2, 3)).vec)
+    assert(e.getMessage.contains("left vertex 7") && e.getMessage.contains("negative"))
+  }
+
   // ---- score function ------------------------------------------------
 
   test("score with empty Y is |X∩A| - |A\\X|") {
