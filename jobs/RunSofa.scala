@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.{Sofa, SofaDistributed}
 import repro.data.Bipartite
+import repro.exp.RealWorldGrid
 
 /** spark-submit entrypoint: run the sofa BMF pipeline on one surrogate
   * dataset and print gain/recall for each line-search threshold.
@@ -28,7 +29,7 @@ object RunSofa {
       val centers = SofaDistributed.firstPass(left, cfg)
       println(s"first pass: ${centers.length} centers (cMax ${cfg.cMax}), " +
         s"total weight ${centers.map(_.weight).sum}")
-      SofaDistributed.bmfFromCenters(left, centers, k, Seq(0.3, 0.4, 0.5, 0.6, 0.7)).foreach { r =>
+      SofaDistributed.bmfFromCenters(left, centers, k, RealWorldGrid.Config().thetas).foreach { r =>
         val q = r.quality
         if (r.rightClusters.isEmpty) println(f"theta=${r.theta}%.1f: no candidate clusters")
         else println(f"theta=${r.theta}%.1f: clusters=${r.rightClusters.length} " +

@@ -54,10 +54,7 @@ object Basso {
       val use = basis.take(kPrefix)
       val bc = spark.sparkContext.broadcast(use)
       val assign = rows.map(lv => LeftAssignment(lv.u, usageInOrder(lv.vec, bc.value)))
-      val q =
-        if (use.isEmpty) Metrics.BmfQuality(0L, 0L, totalOnes(rows))
-        else Metrics.bmfQuality(rows, assign, use)
-      (use, assign, q)
+      (use, assign, Metrics.bmfQuality(rows, assign, use))
     }
   }
 
@@ -131,11 +128,11 @@ object Basso {
     // Greedy basis selection.
     val chosen = scala.collection.mutable.ArrayBuffer.empty[SparseVec]
     val used = scala.collection.mutable.Set.empty[Int]
+    val bcCand = spark.sparkContext.broadcast(candidates)
     var round = 0
     var stop = candidates.isEmpty
     while (round < cfg.kMax && !stop) {
       val bcChosen = spark.sparkContext.broadcast(chosen.toArray)
-      val bcCand = spark.sparkContext.broadcast(candidates)
       val gains: Array[Long] = cached
         .mapPartitions { it =>
           val cand = bcCand.value
@@ -143,13 +140,8 @@ object Basso {
           val g = new Array[Long](cand.length)
           it.foreach { lv =>
             val row = lv.vec
-            var y = SparseVec.empty
             // Replay this row's usage of the already-chosen basis.
-            var t = 0
-            while (t < prev.length) {
-              if (repro.core.SecondPass.score(prev(t), row, y) > 0) y = y.union(prev(t))
-              t += 1
-            }
+            val y = usageInOrder(row, prev).foldLeft(SparseVec.empty)((y, t) => y.union(prev(t)))
             var c = 0
             while (c < cand.length) {
               val s = repro.core.SecondPass.score(cand(c), row, y)
@@ -164,6 +156,7 @@ object Basso {
           while (i < x.length) { x(i) += y(i); i += 1 }
           x
         }
+      bcChosen.destroy()
       var best = -1; var bestGain = 0L
       var c = 0
       while (c < gains.length) {
@@ -177,6 +170,7 @@ object Basso {
         round += 1
       }
     }
+    bcCand.destroy()
     new Model(cached, nCols, chosen.toArray, flipped, cells)
   }
 
@@ -209,10 +203,5 @@ object Basso {
       .mapGroups { (v, it) =>
         LeftVertex(v.toLong, it.map(_._2).toArray.sorted)
       }
-  }
-
-  private def totalOnes(rows: Dataset[LeftVertex])(implicit spark: SparkSession): Long = {
-    import spark.implicits._
-    if (rows.isEmpty) 0L else rows.map(_.nbrs.length.toLong).reduce(_ + _)
   }
 }

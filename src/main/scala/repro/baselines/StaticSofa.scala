@@ -45,26 +45,8 @@ object StaticSofa {
 
     var it = 0
     while (it < maxIter) {
-      val bc = spark.sparkContext.broadcast(centers)
-      // One aggregation: per cluster, member count + column counts.
-      val perCluster: Array[(Int, (Long, Map[Int, Long]))] = left
-        .map(lv => (nearest(bc.value, lv.vec, alpha), lv.nbrs))
-        .groupByKey(_._1)
-        .mapGroups { (c, it2) =>
-          val counts = scala.collection.mutable.LongMap.empty[Long]
-          var members = 0L
-          it2.foreach { case (_, nbrs) =>
-            members += 1
-            nbrs.foreach(j => counts(j.toLong) = counts.getOrElse(j.toLong, 0L) + 1)
-          }
-          (c, (members, counts.map { case (j, n) => (j.toInt, n) }.toMap))
-        }
-        .collect()
       val next = centers.clone()
-      perCluster.foreach { case (c, (members, counts)) =>
-        next(c) = SparseVec.fromArray(
-          counts.collect { case (j, n) if n * 2 >= members => j }.toArray)
-      }
+      clusterColumns(left, centers, alpha)(_ * 2 >= _).foreach { case (c, v) => next(c) = v }
       val changed = !next.indices.forall(i => next(i) == centers(i))
       centers = next
       it += 1
@@ -75,24 +57,37 @@ object StaticSofa {
     val bc = spark.sparkContext.broadcast(centers)
     val assignment = left.map(lv => (lv.u, nearest(bc.value, lv.vec, alpha))).cache()
     val rights = Array.fill(k)(SparseVec.empty)
-    val perCluster = left
+    clusterColumns(left, centers, alpha)(_ >= theta * _).foreach { case (c, v) => rights(c) = v }
+    Result(rights, assignment)
+  }
+
+  /** One aggregation over the vertices' nearest centers: for every
+    * non-empty cluster, the columns whose exact count `n` among its
+    * `members` vertices passes `keep(n, members)`.
+    */
+  private def clusterColumns(
+      left: Dataset[LeftVertex],
+      centers: Array[SparseVec],
+      alpha: Double,
+  )(keep: (Long, Long) => Boolean)(implicit spark: SparkSession): Array[(Int, SparseVec)] = {
+    import spark.implicits._
+    val bc = spark.sparkContext.broadcast(centers)
+    left
       .map(lv => (nearest(bc.value, lv.vec, alpha), lv.nbrs))
       .groupByKey(_._1)
-      .mapGroups { (c, it2) =>
+      .mapGroups { (c, it) =>
         val counts = scala.collection.mutable.LongMap.empty[Long]
         var members = 0L
-        it2.foreach { case (_, nbrs) =>
+        it.foreach { case (_, nbrs) =>
           members += 1
           nbrs.foreach(j => counts(j.toLong) = counts.getOrElse(j.toLong, 0L) + 1)
         }
         (c, members, counts.toSeq.map { case (j, n) => (j.toInt, n) })
       }
       .collect()
-    perCluster.foreach { case (c, members, counts) =>
-      rights(c) = SparseVec.fromArray(
-        counts.collect { case (j, n) if n >= theta * members => j }.toArray)
-    }
-    Result(rights, assignment)
+      .map { case (c, members, counts) =>
+        (c, SparseVec.fromArray(counts.collect { case (j, n) if keep(n, members) => j }.toArray))
+      }
   }
 
   private def nearest(centers: Array[SparseVec], x: SparseVec, alpha: Double): Int = {

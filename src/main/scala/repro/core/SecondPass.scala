@@ -225,25 +225,6 @@ object SecondPass {
     }
   }
 
-  /** Section 4.2 (BMF): greedily cover `Γ(u)` with the right clusters,
-    * assigning `u` to every cluster used. At most one use per cluster
-    * (re-use always scores 0) and at most `k` rounds.
-    */
-  def coverVertex(g: SparseVec, rightClusters: Array[SparseVec]): Array[Int] =
-    new GreedyCover(new CoverIndex(rightClusters)).run(g.idx).picks
-
-  /** Like [[coverVertex]] but also returns the score each pick earned
-    * at the moment it was taken (needed for the `s_c` accounting of
-    * Section 5.3).
-    */
-  def coverVertexWithScores(
-      g: SparseVec,
-      rightClusters: Array[SparseVec],
-  ): Array[(Int, Long)] = {
-    val r = new GreedyCover(new CoverIndex(rightClusters)).run(g.idx)
-    r.picks.zip(r.gains)
-  }
-
   /** One Spark job (Section 5.3 scoring, for all thresholds at once):
     * for every cluster set, the score `s_c` each cluster accumulates
     * over the greedy covers of all vertices.
@@ -311,19 +292,6 @@ object SecondPass {
     */
   def topK(scores: Array[Long], k: Int): Array[Int] =
     scores.indices.sortBy(i => -scores(i)).take(k).sorted.toArray
-
-  /** Distributed BMF cover: returns the per-vertex assignments and the
-    * accumulated per-cluster scores `s_c` (Section 5.3) of the clusters
-    * picked at least once.
-    */
-  def coverBmf(
-      left: Dataset[LeftVertex],
-      rightClusters: Array[SparseVec],
-  )(implicit spark: SparkSession): (Dataset[LeftAssignment], Map[Int, Long]) = {
-    val ix = new CoverIndex(rightClusters)
-    val scores = coverScores(left, Seq(ix)).head
-    (coverAssignments(left, ix), scores.indices.collect { case i if scores(i) > 0 => i -> scores(i) }.toMap)
-  }
 
   /** Section 5.3: keep the `k` candidate clusters with the highest
     * accumulated scores and re-run the cover against only those.

@@ -139,32 +139,29 @@ object Sofa {
 
   /** Postprocessing with the static k-medians step (Lines 21–25): group
     * the centers into `k` clusters, merge each group's sketches, and
-    * for every threshold `θ` emit right clusters
-    * `Ṽ_i = { j : counter_i(j) ≥ θ·W_i }` where `W_i` is the group's
-    * total weight. All thresholds reuse the same grouping, as in
-    * Section 5.4 ("multiple thresholds").
+    * emit right clusters `Ṽ_i = { j : counter_i(j) ≥ θ·W_i }` where
+    * `W_i` is the group's total weight. The grouping depends only on
+    * the centers and `cfg`, so every `θ` sees the same groups (Section
+    * 5.4, "multiple thresholds").
     *
-    * @return per-θ array of right clusters (index i = cluster i)
+    * @return the right clusters (index i = cluster i)
     */
   def postprocessKMedians(
       centers: IndexedSeq[Center],
       cfg: Config,
-      thetas: Seq[Double],
-  ): Map[Double, Array[SparseVec]] = {
-    if (centers.isEmpty) return thetas.map(_ -> Array.empty[SparseVec]).toMap
+      theta: Double,
+  ): Array[SparseVec] = {
+    if (centers.isEmpty) return Array.empty
     val pts = centers.map(c => KMedians.WPoint(c.vec, c.weight))
     val res = KMedians.cluster(pts, cfg.k, cfg.alpha, seed = cfg.seed)
     val groups: Map[Int, IndexedSeq[Int]] =
       centers.indices.groupBy(res.assignment)
-    val merged: Seq[(MisraGries, Long)] = groups.toSeq.sortBy(_._1).map { case (_, members) =>
+    groups.toSeq.sortBy(_._1).map { case (_, members) =>
       val mg = MisraGries(cfg.mgCapacity)
       var w = 0L
       members.foreach { i => mg.merge(centers(i).mg); w += centers(i).weight }
-      (mg, w)
-    }
-    thetas.map { theta =>
-      theta -> merged.map { case (mg, w) => threshold(mg, theta, w) }.toArray
-    }.toMap
+      threshold(mg, theta, w)
+    }.toArray
   }
 
   /** Postprocessing variant of Section 5.3 (BMF): skip k-medians and

@@ -46,7 +46,7 @@ object SofaDistributed {
       theta: Double,
   )(implicit spark: SparkSession): (Array[SparseVec], Dataset[LeftAssignment]) = {
     val centers = firstPass(left, cfg)
-    val rights = Sofa.postprocessKMedians(centers, cfg, Seq(theta))(theta)
+    val rights = Sofa.postprocessKMedians(centers, cfg, theta)
     (rights, SecondPass.assignBicluster(left, rights))
   }
 

@@ -33,7 +33,7 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
 
   /** Current right clusters at threshold θ (k-medians postprocessing). */
   def rightClusters(theta: Double): Array[SparseVec] =
-    Sofa.postprocessKMedians(centerState, cfg, Seq(theta))(theta)
+    Sofa.postprocessKMedians(centerState, cfg, theta)
 
   /** Current per-center candidate clusters (BMF variant, Section 5.3). */
   def candidateClusters(theta: Double): Array[SparseVec] =

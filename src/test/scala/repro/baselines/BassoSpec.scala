@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.SparkSpec
-import repro.core.{LeftVertex, SparseVec}
+import repro.core.{LeftVertex, Metrics, SparseVec}
 
 class BassoSpec extends SparkSpec {
   implicit lazy val s: SparkSession = spark
@@ -53,6 +53,25 @@ class BassoSpec extends SparkSpec {
     assert(b1.length == 1 && b2.length == 2)
     assert(q2.relativeHammingGain >= q1.relativeHammingGain)
     assert(q2.recall > q1.recall)
+  }
+
+  test("evaluate(0) has no basis and zero quality over every edge") {
+    val rows = (0 until 20).map(_ => SparseVec(0, 1, 2, 3, 4, 5)) ++
+      (0 until 5).map(_ => SparseVec(10, 11, 12))
+    val model = Basso.fitOriented(toDs(rows), 13, Basso.Config(2, 0.8), flipped = false)
+    val (basis, assign, q) = model.evaluate(0)
+    assert(basis.isEmpty)
+    assert(assign.collect().forall(_.clusters.isEmpty))
+    assert(q == Metrics.BmfQuality(0L, 0L, rows.map(_.nnz.toLong).sum))
+  }
+
+  test("evaluate(0) on an empty dataset has zero quality and no edges") {
+    import s.implicits._
+    val empty = s.createDataset(s.sparkContext.parallelize(Seq.empty[LeftVertex], 2))
+    val model = Basso.fitOriented(empty, 3, Basso.Config(2, 0.8), flipped = false)
+    val (basis, _, q) = model.evaluate(0)
+    assert(basis.isEmpty && model.basis.isEmpty)
+    assert(q == Metrics.BmfQuality(0L, 0L, 0L))
   }
 
   test("usageInOrder only uses positively scoring basis vectors") {

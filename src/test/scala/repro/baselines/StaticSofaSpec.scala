@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 
 import repro.SparkSpec
-import repro.core.{LeftAssignment, Metrics, SecondPass}
+import repro.core.{CoverIndex, LeftAssignment, Metrics, SecondPass}
 import repro.data.Bipartite
 
 class StaticSofaSpec extends SparkSpec {
@@ -38,7 +38,7 @@ class StaticSofaSpec extends SparkSpec {
     import repro.core.{Sofa, SofaDistributed}
     val cfg = Sofa.Config(k = 4, cMax = 24, nRight = planted.nRight, mgCapacity = 400)
     val centers = SofaDistributed.firstPass(left, cfg)
-    val rightsStream = Sofa.postprocessKMedians(centers, cfg, Seq(0.5))(0.5)
+    val rightsStream = Sofa.postprocessKMedians(centers, cfg, 0.5)
     val qStream = Metrics.qualityQRight(planted.rightClusters.toSeq, rightsStream.toSeq)
     val res = StaticSofa.run(left, planted.nRight, k = 4, theta = 0.5)
     val qStatic = Metrics.qualityQRight(planted.rightClusters.toSeq, res.rightClusters.toSeq)
@@ -116,9 +116,7 @@ class RandomSubgraphSpec extends SparkSpec {
     val run = RandomSubgraph.rightClusters(denseLeft,
       4, RandomSubgraph.Config(mTilde = 1000000, nTilde = 1000000),
       (rows, nCols, k) => Spectral.dhillon(rows, nCols, k))
-    val cand = run.rightClusters.filter(_.nnz > 0)
-    val (assign, _) = SecondPass.coverBmf(denseLeft, cand)
-    val q = Metrics.bmfQuality(denseLeft, assign, cand)
+    val q = SecondPass.coverQuality(denseLeft, Seq(new CoverIndex(run.rightClusters))).head
     assert(q.relativeHammingGain > 0.1, s"gain=${q.relativeHammingGain}")
     denseLeft.unpersist()
   }
@@ -129,9 +127,7 @@ class RandomSubgraphSpec extends SparkSpec {
     // the near-zero RS gains on sparse datasets in Tables 2–3.
     val run = RandomSubgraph.rightClusters(left, 4, RandomSubgraph.Config(150, 150),
       (rows, nCols, k) => Spectral.dhillon(rows, nCols, k))
-    val q = Metrics.bmfQuality(left,
-      SecondPass.coverBmf(left, run.rightClusters.filter(_.nnz > 0))._1,
-      run.rightClusters.filter(_.nnz > 0))
+    val q = SecondPass.coverQuality(left, Seq(new CoverIndex(run.rightClusters))).head
     assert(q.relativeHammingGain >= 0.0 && q.relativeHammingGain < 0.5)
     assert(run.rightClusters.map(_.nnz).max > 12, "clusters should be noise-diluted")
   }

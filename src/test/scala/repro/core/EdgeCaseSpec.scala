@@ -29,14 +29,14 @@ class EdgeCaseSpec extends SparkSpec {
     // All identical: distance 0 to the first center, nothing else opens.
     assert(centers.length == 1)
     assert(centers.head.weight == 50)
-    val rights = Sofa.postprocessKMedians(centers, cfg, Seq(0.5))(0.5)
+    val rights = Sofa.postprocessKMedians(centers, cfg, 0.5)
     assert(rights.exists(_.toSet == Set(1, 2, 3)))
   }
 
   test("postprocessKMedians on empty centers yields empty clusters per theta") {
     val cfg = Sofa.Config(2, 8, 50, 16)
-    val out = Sofa.postprocessKMedians(IndexedSeq.empty, cfg, Seq(0.4, 0.6))
-    assert(out(0.4).isEmpty && out(0.6).isEmpty)
+    assert(Sofa.postprocessKMedians(IndexedSeq.empty, cfg, 0.4).isEmpty)
+    assert(Sofa.postprocessKMedians(IndexedSeq.empty, cfg, 0.6).isEmpty)
   }
 
   test("threshold with zero weight keeps every live counter") {
@@ -46,11 +46,11 @@ class EdgeCaseSpec extends SparkSpec {
   }
 
   test("coverVertex with empty cluster array returns no picks") {
-    assert(SecondPass.coverVertex(SparseVec(1, 2), Array.empty).isEmpty)
+    assert(new GreedyCover(new CoverIndex(Array.empty)).run(SparseVec(1, 2).idx).picks.isEmpty)
   }
 
   test("coverVertex on an isolated vertex returns no picks") {
-    assert(SecondPass.coverVertex(SparseVec.empty, Array(SparseVec(1))).isEmpty)
+    assert(new GreedyCover(new CoverIndex(Array(SparseVec(1)))).run(SparseVec.empty.idx).picks.isEmpty)
   }
 
   test("assignBicluster ignores empty clusters") {

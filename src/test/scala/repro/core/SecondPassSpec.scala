@@ -12,6 +12,9 @@ class SecondPassSpec extends SparkSpec {
     s.createDataset(vs.zipWithIndex.map { case (v, i) => LeftVertex(i.toLong, v.idx) })
   }
 
+  private def cover(g: SparseVec, clusters: Array[SparseVec]): GreedyCover.Result =
+    new GreedyCover(new CoverIndex(clusters)).run(g.idx)
+
   // ---- left vertex validation -----------------------------------------
 
   test("LeftVertex.vec accepts sorted, distinct, non-negative neighbors") {
@@ -78,30 +81,31 @@ class SecondPassSpec extends SparkSpec {
 
   test("coverVertex picks the cluster matching the neighborhood") {
     val clusters = Array(SparseVec(0, 1, 2), SparseVec(10, 11, 12))
-    assert(SecondPass.coverVertex(SparseVec(0, 1, 2), clusters).toSeq == Seq(0))
-    assert(SecondPass.coverVertex(SparseVec(10, 11), clusters).toSeq == Seq(1))
+    assert(cover(SparseVec(0, 1, 2), clusters).picks.toSeq == Seq(0))
+    assert(cover(SparseVec(10, 11), clusters).picks.toSeq == Seq(1))
   }
 
   test("coverVertex uses multiple clusters for a union neighborhood") {
     val clusters = Array(SparseVec(0, 1, 2), SparseVec(10, 11, 12))
-    val picks = SecondPass.coverVertex(SparseVec(0, 1, 2, 10, 11, 12), clusters)
+    val picks = cover(SparseVec(0, 1, 2, 10, 11, 12), clusters).picks
     assert(picks.toSet == Set(0, 1))
   }
 
   test("coverVertex never picks a cluster with nonpositive score") {
     val clusters = Array(SparseVec(50, 51, 52, 53))
-    assert(SecondPass.coverVertex(SparseVec(0, 1), clusters).isEmpty)
+    assert(cover(SparseVec(0, 1), clusters).picks.isEmpty)
   }
 
   test("coverVertex picks each cluster at most once") {
     val clusters = Array(SparseVec(0, 1), SparseVec(0, 1, 2))
-    val picks = SecondPass.coverVertex(SparseVec(0, 1, 2), clusters)
+    val picks = cover(SparseVec(0, 1, 2), clusters).picks
     assert(picks.length == picks.distinct.length)
   }
 
   test("coverVertexWithScores reports the greedy marginal gains") {
     val clusters = Array(SparseVec(0, 1, 2), SparseVec(2, 3))
-    val picks = SecondPass.coverVertexWithScores(SparseVec(0, 1, 2, 3), clusters)
+    val r = cover(SparseVec(0, 1, 2, 3), clusters)
+    val picks = r.picks.zip(r.gains)
     assert(picks(0) == ((0, 3L))) // covers {0,1,2}
     assert(picks(1) == ((1, 1L))) // covers {3}, 2 already covered
   }
@@ -138,8 +142,9 @@ class SecondPassSpec extends SparkSpec {
   test("coverBmf returns assignments for every vertex plus aggregate scores") {
     val clusters = Array(SparseVec(0, 1, 2), SparseVec(10, 11, 12))
     val ds = toDs(Seq(SparseVec(0, 1, 2), SparseVec(10, 11), SparseVec(0, 1, 10, 11)))
-    val (assign, scores) = SecondPass.coverBmf(ds, clusters)
-    val got = assign.collect().sortBy(_.u)
+    val ix = new CoverIndex(clusters)
+    val scores = SecondPass.coverScores(ds, Seq(ix)).head
+    val got = SecondPass.coverAssignments(ds, ix).collect().sortBy(_.u)
     assert(got.length == 3)
     assert(got(0).clusters.toSeq == Seq(0))
     assert(got(1).clusters.toSeq == Seq(1))
@@ -152,14 +157,13 @@ class SecondPassSpec extends SparkSpec {
     val inst = TestGraphs.planted(k = 3, ell = 15, n = 120, r = 8, p = 0.9, q = 0.01)
     val ds = toDs(inst.vectors)
     val clusters = inst.rightClusters.toArray
-    val (_, scores) = SecondPass.coverBmf(ds, clusters)
-    val expected = scala.collection.mutable.Map.empty[Int, Long].withDefaultValue(0L)
+    val scores = SecondPass.coverScores(ds, Seq(new CoverIndex(clusters))).head
+    val expected = new Array[Long](clusters.length)
     inst.vectors.foreach { v =>
-      SecondPass.coverVertexWithScores(v, clusters).foreach { case (i, sc) =>
-        expected(i) += sc
-      }
+      val r = cover(v, clusters)
+      r.picks.zip(r.gains).foreach { case (i, sc) => expected(i) += sc }
     }
-    assert(scores == expected.toMap)
+    assert(scores.toSeq == expected.toSeq)
   }
 
   test("topKBmf keeps the k highest-scoring candidates") {

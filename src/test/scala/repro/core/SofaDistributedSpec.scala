@@ -35,12 +35,12 @@ class SofaDistributedSpec extends SparkSpec {
   test("distributed quality is close to the sequential pass") {
     val c = cfg()
     val centersDist = SofaDistributed.firstPass(left, c)
-    val rightsDist = Sofa.postprocessKMedians(centersDist, c, Seq(0.5))(0.5)
+    val rightsDist = Sofa.postprocessKMedians(centersDist, c, 0.5)
     val qDist = Metrics.qualityQRight(planted.rightClusters.toSeq, rightsDist.toSeq)
 
     val localVectors = left.collect().sortBy(_.u).map(_.vec)
     val centersSeq = Sofa.cluster(localVectors.iterator.map(Sofa.freshItem(_, c)), c)
-    val rightsSeq = Sofa.postprocessKMedians(centersSeq, c, Seq(0.5))(0.5)
+    val rightsSeq = Sofa.postprocessKMedians(centersSeq, c, 0.5)
     val qSeq = Metrics.qualityQRight(planted.rightClusters.toSeq, rightsSeq.toSeq)
 
     assert(qDist > 0.7, s"distributed Q=$qDist too low (sequential Q=$qSeq)")

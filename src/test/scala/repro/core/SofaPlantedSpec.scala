@@ -21,7 +21,7 @@ class SofaPlantedSpec extends SparkSpec {
   private def sofaQ(planted: Bipartite.Planted, counters: Int = 400): Double = {
     val cfg = Sofa.Config(k = 5, cMax = 30, nRight = planted.nRight, mgCapacity = counters)
     val centers = SofaDistributed.firstPass(planted.left, cfg)
-    val rights = Sofa.postprocessKMedians(centers, cfg, Seq(0.5))(0.5)
+    val rights = Sofa.postprocessKMedians(centers, cfg, 0.5)
     Metrics.qualityQRight(planted.rightClusters.toSeq, rights.toSeq)
   }
 

@@ -66,7 +66,7 @@ class SofaSpec extends SparkSpec {
       p = 0.95, q = 0.001, seed = 3L)
     val c = cfg(4, inst.n, cMax = 24, counters = 400)
     val centers = Sofa.cluster(inst.vectors.iterator.map(Sofa.freshItem(_, c)), c)
-    val rights = Sofa.postprocessKMedians(centers, c, Seq(0.5))(0.5)
+    val rights = Sofa.postprocessKMedians(centers, c, 0.5)
     val q = Metrics.qualityQRight(inst.rightClusters, rights.toSeq)
     assert(q > 0.85, s"expected near-exact recovery, got Q=$q")
   }
@@ -77,7 +77,7 @@ class SofaSpec extends SparkSpec {
     val inst = TestGraphs.shuffled(base, seed = 17L)
     val c = cfg(3, inst.n, cMax = 18, counters = 300)
     val centers = Sofa.cluster(inst.vectors.iterator.map(Sofa.freshItem(_, c)), c)
-    val rights = Sofa.postprocessKMedians(centers, c, Seq(0.5))(0.5)
+    val rights = Sofa.postprocessKMedians(centers, c, 0.5)
     assert(Metrics.qualityQRight(inst.rightClusters, rights.toSeq) > 0.8)
   }
 
@@ -85,11 +85,17 @@ class SofaSpec extends SparkSpec {
     val inst = TestGraphs.planted(k = 3, ell = 40, n = 250, r = 10, p = 0.9, q = 0.002)
     val c = cfg(3, inst.n, counters = 250)
     val centers = Sofa.cluster(inst.vectors.iterator.map(Sofa.freshItem(_, c)), c)
-    val multi = Sofa.postprocessKMedians(centers, c, Seq(0.3, 0.5, 0.7))
-    assert(multi.keySet == Set(0.3, 0.5, 0.7))
+    val multi = Seq(0.3, 0.5, 0.7).map(t => Sofa.postprocessKMedians(centers, c, t))
+    assert(multi.map(_.length).distinct.size == 1)
     // Lower θ admits more columns: cluster sizes shrink as θ grows.
-    val sizes = Seq(0.3, 0.5, 0.7).map(t => multi(t).map(_.nnz).sum)
+    val sizes = multi.map(_.map(_.nnz).sum)
     assert(sizes(0) >= sizes(1) && sizes(1) >= sizes(2))
+    // Cluster i only shrinks as θ grows, which holds only if every call
+    // groups the centers the same way.
+    multi.head.indices.foreach { i =>
+      assert(multi(2)(i).toSet.subsetOf(multi(1)(i).toSet), s"cluster $i: 0.7 ⊄ 0.5")
+      assert(multi(1)(i).toSet.subsetOf(multi(0)(i).toSet), s"cluster $i: 0.5 ⊄ 0.3")
+    }
   }
 
   test("threshold keeps exactly the counters above theta*weight") {

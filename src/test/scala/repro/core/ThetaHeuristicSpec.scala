@@ -61,7 +61,7 @@ class ThetaHeuristicSpec extends SparkSpec {
     val theta = ThetaHeuristic.selectFromCenters(centers, inst.n)
     assert(theta > 0.0 && theta < 1.0)
     // The induced clusters should resemble the planted ones.
-    val rights = Sofa.postprocessKMedians(centers, cfg, Seq(theta))(theta)
+    val rights = Sofa.postprocessKMedians(centers, cfg, theta)
     assert(Metrics.qualityQRight(inst.rightClusters, rights.toSeq) > 0.5)
   }
 }

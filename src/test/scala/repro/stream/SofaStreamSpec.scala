@@ -38,7 +38,7 @@ class SofaStreamSpec extends SparkSpec {
     val oneShot = SofaDistributed.firstPass(planted.left, cfg)
     val qBatch = Metrics.qualityQRight(
       planted.rightClusters.toSeq,
-      Sofa.postprocessKMedians(oneShot, cfg, Seq(0.5))(0.5).toSeq)
+      Sofa.postprocessKMedians(oneShot, cfg, 0.5).toSeq)
 
     assert(qStream > 0.6, s"stream Q=$qStream (batch Q=$qBatch)")
     assert(qStream > qBatch - 0.3, s"stream Q=$qStream much worse than batch Q=$qBatch")
