@@ -84,6 +84,12 @@ object Sofa {
     * `items` may mix fresh vertices and previously computed centers —
     * this is exactly how restarts work internally and how the
     * distributed version merges per-partition center sets.
+    *
+    * A phase that opens every item it reads re-streams the same `cMax`
+    * items in the same order, so the next phases repeat it exactly as
+    * long as every draw is certain (see [[certainRepeats]]); those are
+    * fast-forwarded: their `cMax − 1` draws are made and discarded, LB
+    * is doubled and the restart counted, with no re-streaming.
     */
   def cluster(items: Iterator[Center], cfg: Config): IndexedSeq[Center] = {
     val rng = new Random(cfg.seed)
@@ -95,9 +101,11 @@ object Sofa {
     while (true) {
       val centers = ArrayBuffer.empty[Center]
       index.clear()
-      val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
+      val f = samplingScale(lb, cfg)
       var cost = 0.0
       var overflow = false
+      var merged = false
+      var wMin = Long.MaxValue
 
       while (pending.hasNext && !overflow) {
         val u = pending.next()
@@ -112,8 +120,10 @@ object Sofa {
           if (sampled) {
             centers += u
             index.add(u.vec)
+            wMin = math.min(wMin, u.weight)
             if (centers.length >= cfg.cMax) overflow = true
           } else {
+            merged = true
             cost += u.weight.toDouble * bestD
             val c = centers(best)
             c.weight += u.weight
@@ -131,10 +141,45 @@ object Sofa {
       // the reassigned `pending` var and reference itself.)
       lb *= 2.0
       restarts += 1
+      if (!merged) {
+        var skip = certainRepeats(wMin, lb, restarts, cfg)
+        while (skip > 0) {
+          var draw = 1
+          while (draw < cfg.cMax) { rng.nextDouble(); draw += 1 }
+          lb *= 2.0
+          restarts += 1
+          skip -= 1
+        }
+      }
       val unread = pending
       pending = centers.iterator ++ unread
     }
     sys.error("unreachable")
+  }
+
+  /** The importance-sampling scale `f = LB/(k(1+log n))` of a phase. */
+  private def samplingScale(lb: Double, cfg: Config): Double =
+    lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
+
+  /** How many phases in a row, starting with the one about to run at
+    * `lb` with `restarts` restarts so far, repeat the phase before it
+    * exactly. That phase opened each of its `cMax` items (every item
+    * after the first through a draw, the lightest of those weighing
+    * `wMin`) and merged none. The next phase re-reads those items in
+    * that order, so each draws at the same distance `d`; the items are
+    * pairwise distinct (an item at `d = 0` is never opened), and
+    * `d = (|u|−∩) + α(|c|−∩)` of distinct items is at least
+    * `min(1, α)`. Sampling is therefore certain whenever
+    * `wMin·min(1, α) ≥ f` (then `w·d/f ≥ 1`) and the phase still
+    * samples (`restarts < maxRestarts`): it opens every item again,
+    * overflows, and the next phase faces the same question at `2·LB`.
+    */
+  private[core] def certainRepeats(wMin: Long, lb: Double, restarts: Int, cfg: Config): Int = {
+    val floor = wMin.toDouble * math.min(1.0, cfg.alpha)
+    var n = 0
+    var l = lb
+    while (restarts + n < cfg.maxRestarts && floor >= samplingScale(l, cfg)) { n += 1; l *= 2.0 }
+    n
   }
 
   /** Postprocessing with the static k-medians step (Lines 21–25): group

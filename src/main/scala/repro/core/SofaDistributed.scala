@@ -18,23 +18,33 @@ import org.apache.spark.sql.{Dataset, SparkSession}
   */
 object SofaDistributed {
 
-  /** First pass: vertex stream in, surviving weighted centers out. */
+  /** First pass: vertex stream in, surviving weighted centers out.
+    *
+    * One Spark job: a partition map over `left.rdd` whose centers come
+    * back as [[PortableCenter]]s in the ordinary task results, then the
+    * driver merge. Rejects a vertex with a column `≥ cfg.nRight`.
+    */
   def firstPass(
       left: Dataset[LeftVertex],
       cfg: Sofa.Config,
   )(implicit spark: SparkSession): IndexedSeq[Sofa.Center] = {
-    val partCenters: Array[PortableCenter] = left
+    val partCenters: Array[PortableCenter] = left.rdd
       .mapPartitions { it =>
-        val centers = Sofa.cluster(
-          it.map(lv => Sofa.freshItem(lv.vec, cfg)),
-          cfg,
-        )
+        val centers = Sofa.cluster(it.map(lv => Sofa.freshItem(checkedVec(lv, cfg.nRight), cfg)), cfg)
         centers.iterator.map(PortableCenter.from)
-      }(PortableCenter.encoder(spark))
+      }
       .collect()
     // Merge: replay all per-partition centers through the same
     // sequential algorithm on the driver.
     Sofa.cluster(partCenters.iterator.map(_.toCenter(cfg.mgCapacity)), cfg)
+  }
+
+  /** `lv.vec`, rejecting a vertex with a column outside `[0, nRight)`. */
+  private def checkedVec(lv: LeftVertex, nRight: Int): SparseVec = {
+    val v = lv.vec
+    require(v.isEmpty || v.idx.last < nRight,
+      s"left vertex ${lv.u}: neighbor index ${v.idx.last} is not below nRight = $nRight")
+    v
   }
 
   /** Full biclustering pipeline (Sections 3.2 + 4.1 + 5.2): first pass,
@@ -116,10 +126,10 @@ object SofaDistributed {
   }
 }
 
-/** Serializable wire form of a center for the shuffle back to the
-  * driver: the representative's indices, the weight, and the sketch
-  * entries. The sketch is rebuilt with the same capacity on arrival
-  * (Misra–Gries state is exactly its counter map).
+/** Wire form of a center in the first pass's task results: the
+  * representative's indices, the weight, and the sketch entries. The
+  * sketch is rebuilt with the same capacity on arrival (Misra–Gries
+  * state is exactly its counter map).
   */
 final case class PortableCenter(
     vecIdx: Array[Int],
@@ -140,10 +150,5 @@ object PortableCenter {
   def from(c: Sofa.Center): PortableCenter = {
     val entries = c.mg.entries.toArray
     PortableCenter(c.vec.idx, c.weight, entries.map(_._1), entries.map(_._2), c.mg.totalWeight)
-  }
-
-  def encoder(spark: SparkSession): org.apache.spark.sql.Encoder[PortableCenter] = {
-    import spark.implicits._
-    implicitly[org.apache.spark.sql.Encoder[PortableCenter]]
   }
 }

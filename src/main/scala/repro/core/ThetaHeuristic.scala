@@ -48,29 +48,40 @@ object ThetaHeuristic {
     var bestTheta = 0.5
     var bestLL = Double.NegativeInfinity
     for (p <- pGrid; q <- qGrid if q < p) {
-      val theta = thetaFor(p, q)
-      var ll = 0.0
-      clusters.foreach { c =>
-        val w = c.totalWeight.toDouble
-        if (w > 0) {
-          val cut = theta * w
-          var i = 0
-          while (i < c.counters.length) {
-            val f = c.counters(i).toDouble
-            // Bernoulli log-likelihood of f successes out of w trials
-            // under the rate implied by the θ-induced in/out label.
-            val pp = if (f >= cut) p else q
-            ll += f * math.log(pp) + (w - f) * math.log1p(-pp)
-            i += 1
-          }
-          // Columns not present in the sketch: zero counters under q.
-          val absent = (nRight - c.counters.length).max(0)
-          ll += absent * w * math.log1p(-q)
-        }
-      }
-      if (ll > bestLL) { bestLL = ll; bestTheta = theta }
+      val ll = logLikelihood(clusters, nRight, p, q)
+      if (ll > bestLL) { bestLL = ll; bestTheta = thetaFor(p, q) }
     }
     bestTheta
+  }
+
+  /** Bernoulli log-likelihood of every counter under the pair `(p, q)`:
+    * a counter at or above `θ(p,q)·W` counts as in-cluster (rate `p`),
+    * one below, or a column absent from the sketch, as out (rate `q`).
+    * The four logarithms are taken once per pair.
+    */
+  private[core] def logLikelihood(clusters: Seq[ClusterCounters], nRight: Int, p: Double, q: Double): Double = {
+    val theta = thetaFor(p, q)
+    val logP = math.log(p); val log1mP = math.log1p(-p)
+    val logQ = math.log(q); val log1mQ = math.log1p(-q)
+    var ll = 0.0
+    clusters.foreach { c =>
+      val w = c.totalWeight.toDouble
+      if (w > 0) {
+        val cut = theta * w
+        var i = 0
+        while (i < c.counters.length) {
+          val f = c.counters(i).toDouble
+          // f successes out of w trials under the rate implied by the
+          // θ-induced in/out label.
+          ll += (if (f >= cut) f * logP + (w - f) * log1mP else f * logQ + (w - f) * log1mQ)
+          i += 1
+        }
+        // Columns not present in the sketch: zero counters under q.
+        val absent = (nRight - c.counters.length).max(0)
+        ll += absent * w * log1mQ
+      }
+    }
+    ll
   }
 
   /** Fit on the raw first-pass centers, one counter profile per center

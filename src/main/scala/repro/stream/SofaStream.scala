@@ -19,6 +19,7 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
 
   @volatile private var centerState: IndexedSeq[Sofa.Center] = Vector.empty
   @volatile private var seen: Long = 0L
+  @volatile private var lastBatch: Long = -1L
 
   def centers: IndexedSeq[Sofa.Center] = centerState
   def verticesSeen: Long = seen
@@ -30,6 +31,16 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
     seen += batchCenters.map(_.weight).sum
     centerState = Sofa.cluster((centerState ++ batchCenters).iterator, cfg)
   }
+
+  /** Fold micro-batch `batchId` exactly once: a batch whose id is not
+    * above the last one folded in is a replay (Structured Streaming
+    * re-runs a batch after a failure) and is skipped.
+    */
+  def update(batch: Dataset[LeftVertex], batchId: Long)(implicit spark: SparkSession): Unit =
+    if (batchId > lastBatch) {
+      update(batch)
+      lastBatch = batchId
+    }
 
   /** Current right clusters at threshold θ (k-medians postprocessing). */
   def rightClusters(theta: Double): Array[SparseVec] =
@@ -54,8 +65,8 @@ object SofaStream {
       .queryName(queryName)
       .outputMode("append")
       .trigger(Trigger.ProcessingTime(0L))
-      .foreachBatch { (batch: Dataset[LeftVertex], _: Long) =>
-        state.update(batch)(batch.sparkSession)
+      .foreachBatch { (batch: Dataset[LeftVertex], batchId: Long) =>
+        state.update(batch, batchId)(batch.sparkSession)
       }
       .start()
 }

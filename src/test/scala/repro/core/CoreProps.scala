@@ -245,4 +245,84 @@ object SofaClusterProps extends Properties("SofaCluster") {
     cases.foreach { case (items, cfg) => NaiveSofa.cluster(centers(items, cfg).iterator, cfg, kinds += _) }
     kinds == Set(true, false)
   }
+
+  /** The phases of the naive run on `items`. */
+  private def phases(items: Vector[Item], cfg: Sofa.Config): Vector[NaiveSofa.Phase] = {
+    val out = Vector.newBuilder[NaiveSofa.Phase]
+    NaiveSofa.cluster(centers(items, cfg).iterator, cfg, onPhase = out += _)
+    out.result()
+  }
+
+  /** What the fast-forward skips after phase `i` of `ps`: nothing unless
+    * the phase merged no item.
+    */
+  private def skipsAfter(ps: Vector[NaiveSofa.Phase], i: Int, cfg: Sofa.Config): Int = {
+    val p = ps(i)
+    if (p.merged) 0 else Sofa.certainRepeats(p.weights.tail.min, 2.0 * p.lb, p.restarts + 1, cfg)
+  }
+
+  property("every fast-forwarded phase repeats the one before it in the naive run") =
+    forAll(genItems, genConfig) { (items, cfg) =>
+      val ps = phases(items, cfg)
+      ps.indices.foldLeft(Prop.passed) { (acc, i) =>
+        val n = skipsAfter(ps, i, cfg)
+        acc && Prop.all((1 to n).map { j =>
+          ps.lift(i + j).exists(r => !r.merged && r.lb == ps(i).lb * math.pow(2.0, j) &&
+            r.opened.corresponds(ps(i).opened)(_ eq _)) :| s"phase ${i + j} after $i ($n skipped)"
+        }: _*)
+      }
+    }
+
+  property("generated streams fast-forward some restart phases") = Prop {
+    val cases = Gen.listOfN(200, Gen.zip(genItems, genConfig))
+      .apply(Gen.Parameters.default, org.scalacheck.rng.Seed(1L)).get
+    cases.map { case (items, cfg) =>
+      val ps = phases(items, cfg)
+      ps.indices.map(skipsAfter(ps, _, cfg)).sum
+    }.sum > 0
+  }
+}
+
+/** The θ fit gives the log-likelihoods and the θ of [[NaiveTheta]], bit for bit. */
+object ThetaHeuristicProps extends Properties("ThetaHeuristic") {
+  import Prop.propBoolean
+  import ThetaHeuristic.ClusterCounters
+
+  /** Parts of the default grids plus the pairs (0.75, 0.25) and
+    * (0.875, 0.125), whose θ is exactly 0.5.
+    */
+  private val genGrids: Gen[(Seq[Double], Seq[Double])] = for {
+    ps <- Gen.someOf(ThetaHeuristic.DefaultPGrid ++ Seq(0.75, 0.875))
+    qs <- Gen.someOf(ThetaHeuristic.DefaultQGrid ++ Seq(0.25, 0.125))
+  } yield (ps.toSeq, qs.toSeq)
+
+  /** Empty sketches, zero weights, and counters at, just below and just
+    * above the cut `θ·w` of a grid pair, as well as arbitrary ones; with
+    * θ = 0.5 and an even `w` the counter lies exactly at the cut.
+    */
+  private def genCluster(thetas: Seq[Double]): Gen[ClusterCounters] = for {
+    w <- Gen.frequency(1 -> Gen.const(0L), 6 -> Gen.choose(1L, 400L))
+    counters <- Gen.listOf(Gen.frequency(
+      3 -> Gen.choose(0L, w),
+      2 -> Gen.oneOf(0.5 +: thetas).flatMap(t => Gen.oneOf(
+        math.floor(t * w).toLong, math.ceil(t * w).toLong, math.ceil(t * w).toLong + 1)),
+    ))
+  } yield ClusterCounters(counters.toArray, w)
+
+  property("likelihoods and θ equal the per-counter-log reference") = forAll(genGrids) { case (ps, qs) =>
+    val pairs = for (p <- ps; q <- qs if q < p) yield (p, q)
+    forAll(Gen.nonEmptyListOf(genCluster(pairs.map((ThetaHeuristic.thetaFor _).tupled))), Gen.choose(1, 500)) {
+      (cs, nRight) =>
+        def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+        Prop.all(pairs.map { case (p, q) =>
+          val got = ThetaHeuristic.logLikelihood(cs, nRight, p, q)
+          val ref = NaiveTheta.logLikelihood(cs, nRight, p, q)
+          (bits(got) == bits(ref)) :| s"log-likelihood at ($p, $q): $got vs $ref"
+        }: _*) && {
+          val got = ThetaHeuristic.select(cs, nRight, ps, qs)
+          val ref = NaiveTheta.select(cs, nRight, ps, qs)
+          (bits(got) == bits(ref)) :| s"θ $got vs $ref"
+        }
+    }
+  }
 }

@@ -10,13 +10,27 @@ import scala.util.Random
   */
 object NaiveSofa {
 
+  /** A phase that ended in a restart: its LB and restart count, the
+    * centers it opened in order, their weights when it ended, and
+    * whether it merged any item.
+    */
+  final case class Phase(
+      lb: Double,
+      restarts: Int,
+      opened: Vector[Sofa.Center],
+      weights: Vector[Long],
+      merged: Boolean,
+  )
+
   /** `onRestart(centerOverflow)` is called on every LB doubling: `true`
     * when the center budget overflowed, `false` when the cost did.
+    * `onPhase` then gets the phase that restarted.
     */
   def cluster(
       items: Iterator[Sofa.Center],
       cfg: Sofa.Config,
       onRestart: Boolean => Unit = _ => (),
+      onPhase: Phase => Unit = _ => (),
   ): IndexedSeq[Sofa.Center] = {
     val rng = new Random(cfg.seed)
     var lb = 1.0
@@ -28,6 +42,7 @@ object NaiveSofa {
       val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
       var cost = 0.0
       var overflow = false
+      var merged = false
 
       while (pending.hasNext && !overflow) {
         val u = pending.next()
@@ -47,6 +62,7 @@ object NaiveSofa {
             centers += u
             if (centers.length >= cfg.cMax) overflow = true
           } else {
+            merged = true
             cost += u.weight.toDouble * bestD
             val c = centers(best)
             c.weight += u.weight
@@ -59,6 +75,7 @@ object NaiveSofa {
       if (!overflow && !pending.hasNext) return centers.toIndexedSeq
 
       onRestart(centers.length >= cfg.cMax)
+      onPhase(Phase(lb, restarts, centers.toVector, centers.map(_.weight).toVector, merged))
       lb *= 2.0
       restarts += 1
       val unread = pending

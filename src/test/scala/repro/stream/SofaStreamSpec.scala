@@ -3,7 +3,7 @@ package repro.stream
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
-import repro.SparkSpec
+import repro.{JobCount, SparkSpec}
 import repro.core.{LeftVertex, Metrics, SecondPass, Sofa, SofaDistributed}
 import repro.data.Bipartite
 
@@ -58,6 +58,40 @@ class SofaStreamSpec extends SparkSpec {
     val state = new SofaStreamState(cfg)
     state.update(s.createDataset(Seq.empty[LeftVertex]))
     assert(state.verticesSeen == 0 && state.centers.isEmpty)
+  }
+
+  test("a replayed batch id leaves the state unchanged") {
+    import s.implicits._
+    val state = new SofaStreamState(cfg)
+    val batches = vertices.grouped(50).map(b => s.createDataset(b.toSeq)).toVector
+    state.update(batches(0), 0L)
+    state.update(batches(1), 1L)
+    def snapshot = (state.verticesSeen,
+      state.centers.map(c => (c.vec, c.weight, c.mg.entries.toSeq.sorted, c.mg.totalWeight)))
+    val before = snapshot
+    state.update(batches(1), 1L)
+    state.update(batches(2), 0L)
+    assert(snapshot == before)
+    state.update(batches(2), 2L)
+    assert(state.verticesSeen == before._1 + 50)
+  }
+
+  test("update without a batch id folds every call") {
+    import s.implicits._
+    val state = new SofaStreamState(cfg)
+    val batch = s.createDataset(vertices.take(60).toSeq)
+    state.update(batch)
+    state.update(batch)
+    assert(state.verticesSeen == 120)
+  }
+
+  test("update runs one Spark job per batch") {
+    import s.implicits._
+    val state = new SofaStreamState(cfg)
+    vertices.grouped(100).foreach { b =>
+      val batch = s.createDataset(b.toSeq)
+      assert(JobCount(s)(state.update(batch))._2 == 1)
+    }
   }
 
   test("structured streaming via MemoryStream drives the state end-to-end") {
