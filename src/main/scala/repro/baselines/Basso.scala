@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.core.{LeftAssignment, LeftVertex, Metrics, SparseVec}
+import repro.core.{LeftAssignment, LeftVertex, Metrics, SecondPass, SparseVec}
 
 /** Signals that the dense association matrix would not fit the memory
   * budget — reproduces the paper's basso out-of-memory on Wiki.
@@ -47,14 +47,19 @@ object Basso {
   ) {
     /** Evaluate the first `kPrefix` basis vectors: per-row usage (Asso
       * rule: use basis t if its score is positive given the cover so
-      * far, in chosen order) and reconstruction quality.
+      * far, in chosen order), lazily, and reconstruction quality, in
+      * one job that applies the same rule.
       */
     def evaluate(kPrefix: Int)(implicit spark: SparkSession): (Array[SparseVec], Dataset[LeftAssignment], Metrics.BmfQuality) = {
       import spark.implicits._
       val use = basis.take(kPrefix)
       val bc = spark.sparkContext.broadcast(use)
       val assign = rows.map(lv => LeftAssignment(lv.u, usageInOrder(lv.vec, bc.value)))
-      (use, assign, Metrics.bmfQuality(rows, assign, use))
+      val q = sumRows(rows, 3) { (acc, g) =>
+        val cover = usedCover(g, bc.value)
+        acc(0) += g.intersectSize(cover); acc(1) += cover.nnz; acc(2) += g.nnz
+      }
+      (use, assign, Metrics.BmfQuality(q(0), q(1), q(2)))
     }
   }
 
@@ -125,54 +130,47 @@ object Basso {
       }
     }.toArray
 
-    // Greedy basis selection.
-    val chosen = scala.collection.mutable.ArrayBuffer.empty[SparseVec]
-    val used = scala.collection.mutable.Set.empty[Int]
+    // Greedy basis selection: each round picks the unused candidate with
+    // the largest positive gain, the lowest index on ties.
+    val chosen = scala.collection.mutable.ArrayBuffer.empty[Int]
     val bcCand = spark.sparkContext.broadcast(candidates)
-    var round = 0
     var stop = candidates.isEmpty
-    while (round < cfg.kMax && !stop) {
-      val bcChosen = spark.sparkContext.broadcast(chosen.toArray)
-      val gains: Array[Long] = cached
-        .mapPartitions { it =>
-          val cand = bcCand.value
-          val prev = bcChosen.value
-          val g = new Array[Long](cand.length)
-          it.foreach { lv =>
-            val row = lv.vec
-            // Replay this row's usage of the already-chosen basis.
-            val y = usageInOrder(row, prev).foldLeft(SparseVec.empty)((y, t) => y.union(prev(t)))
-            var c = 0
-            while (c < cand.length) {
-              val s = repro.core.SecondPass.score(cand(c), row, y)
-              if (s > 0) g(c) += s
-              c += 1
-            }
-          }
-          Iterator.single(g)
+    while (chosen.length < cfg.kMax && !stop) {
+      val bcChosen = spark.sparkContext.broadcast(chosen.map(candidates).toArray)
+      val gains = sumRows(cached, candidates.length) { (g, row) =>
+        val cand = bcCand.value
+        // Replay this row's usage of the already-chosen basis.
+        val y = usedCover(row, bcChosen.value)
+        var c = 0
+        while (c < cand.length) {
+          val s = SecondPass.score(cand(c), row, y)
+          if (s > 0) g(c) += s
+          c += 1
         }
-        .reduce { (x, y) =>
-          var i = 0
-          while (i < x.length) { x(i) += y(i); i += 1 }
-          x
-        }
+      }
       bcChosen.destroy()
-      var best = -1; var bestGain = 0L
-      var c = 0
-      while (c < gains.length) {
-        if (!used.contains(c) && gains(c) > bestGain) { bestGain = gains(c); best = c }
-        c += 1
-      }
-      if (best < 0) stop = true
-      else {
-        used += best
-        chosen += candidates(best)
-        round += 1
-      }
+      val best = gains.indices.filterNot(chosen.contains).maxByOption(gains(_)).filter(gains(_) > 0)
+      best.foreach(chosen += _)
+      stop = best.isEmpty
     }
     bcCand.destroy()
-    new Model(cached, nCols, chosen.toArray, flipped, cells)
+    new Model(cached, nCols, chosen.map(candidates).toArray, flipped, cells)
   }
+
+  /** One Spark job: folds every row into an array of `width` sums with
+    * `add`; the partitions' arrays are summed on the driver.
+    */
+  private def sumRows(rows: Dataset[LeftVertex], width: Int)(
+      add: (Array[Long], SparseVec) => Unit): Array[Long] =
+    rows.rdd.mapPartitions { it =>
+      val acc = new Array[Long](width)
+      it.foreach(lv => add(acc, lv.vec))
+      Iterator.single(acc)
+    }.fold(new Array[Long](width)) { (x, y) => x.indices.foreach(i => x(i) += y(i)); x }
+
+  /** The union of the basis vectors the Asso rule uses for row `g`. */
+  private def usedCover(g: SparseVec, basis: Array[SparseVec]): SparseVec =
+    usageInOrder(g, basis).foldLeft(SparseVec.empty)((y, t) => y.union(basis(t)))
 
   /** Asso usage rule: walk the basis in chosen order, use a vector iff
     * its score is positive given the cover built so far.
@@ -182,7 +180,7 @@ object Basso {
     var y = SparseVec.empty
     var t = 0
     while (t < basis.length) {
-      if (repro.core.SecondPass.score(basis(t), g, y) > 0) {
+      if (SecondPass.score(basis(t), g, y) > 0) {
         picked += t
         y = y.union(basis(t))
       }

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{Dataset, SparkSession}
 import scala.util.Random
 
-import repro.core.{LeftVertex, SparseVec}
+import repro.core.{CenterIndex, LeftVertex, SparseVec}
 
 /** static sofa (Section 6.1): the offline counterpart of sofa, i.e. the
   * algorithm of Neumann (NeurIPS'18) without spectral preprocessing.
@@ -54,8 +54,7 @@ object StaticSofa {
     }
 
     // Final assignment + exact-count thresholding.
-    val bc = spark.sparkContext.broadcast(centers)
-    val assignment = left.map(lv => (lv.u, nearest(bc.value, lv.vec, alpha))).cache()
+    val assignment = nearest(left, centers, alpha).map(a => (a._1, a._2)).cache()
     val rights = Array.fill(k)(SparseVec.empty)
     clusterColumns(left, centers, alpha)(_ >= theta * _).foreach { case (c, v) => rights(c) = v }
     Result(rights, assignment)
@@ -71,14 +70,12 @@ object StaticSofa {
       alpha: Double,
   )(keep: (Long, Long) => Boolean)(implicit spark: SparkSession): Array[(Int, SparseVec)] = {
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(centers)
-    left
-      .map(lv => (nearest(bc.value, lv.vec, alpha), lv.nbrs))
-      .groupByKey(_._1)
+    nearest(left, centers, alpha)
+      .groupByKey(_._2)
       .mapGroups { (c, it) =>
         val counts = scala.collection.mutable.LongMap.empty[Long]
         var members = 0L
-        it.foreach { case (_, nbrs) =>
+        it.foreach { case (_, _, nbrs) =>
           members += 1
           nbrs.foreach(j => counts(j.toLong) = counts.getOrElse(j.toLong, 0L) + 1)
         }
@@ -90,14 +87,20 @@ object StaticSofa {
       }
   }
 
-  private def nearest(centers: Array[SparseVec], x: SparseVec, alpha: Double): Int = {
-    var best = 0; var bestD = Double.MaxValue
-    var i = 0
-    while (i < centers.length) {
-      val d = centers(i).asymDistTo(x, alpha)
-      if (d < bestD) { bestD = d; best = i }
-      i += 1
+  /** Every vertex as (id, nearest center, neighbors), ties going to the
+    * lowest center; each partition indexes the broadcast centers once.
+    */
+  private def nearest(
+      left: Dataset[LeftVertex],
+      centers: Array[SparseVec],
+      alpha: Double,
+  )(implicit spark: SparkSession): Dataset[(Long, Int, Array[Int])] = {
+    import spark.implicits._
+    val bc = spark.sparkContext.broadcast(centers)
+    left.mapPartitions { it =>
+      val index = new CenterIndex(alpha)
+      bc.value.foreach(index.add)
+      it.map(lv => (lv.u, index.nearest(lv.vec), lv.nbrs))
     }
-    best
   }
 }

@@ -10,7 +10,8 @@ import scala.util.Random
   * binary-vector analogue: k-means++-style D-sampling seeding followed
   * by Lloyd iterations where the center update is the coordinate-wise
   * weighted majority — the 1-median of a set of binary vectors under
-  * Hamming distance.
+  * Hamming distance. Each Lloyd round finds every point's nearest
+  * center with the exact [[CenterIndex]] of the first pass.
   *
   * Inputs are tiny (≤ c_max centers), so this runs on the driver.
   */
@@ -77,23 +78,20 @@ object KMedians {
 
     // --- Lloyd iterations with majority-vote center update ----------
     val assign = new Array[Int](m)
+    val index = new CenterIndex(alpha)
     var cost = 0.0
     var it = 0
     var changed = true
     while (it < maxIter && changed) {
       changed = false
       cost = 0.0
+      index.clear()
+      centers.foreach(index.add)
       var i = 0
       while (i < m) {
-        var best = 0; var bestD = Double.MaxValue
-        var j = 0
-        while (j < kk) {
-          val d = centers(j).asymDistTo(points(i).vec, alpha)
-          if (d < bestD) { bestD = d; best = j }
-          j += 1
-        }
+        val best = index.nearest(points(i).vec)
         if (assign(i) != best) { assign(i) = best; changed = true }
-        cost += bestD * points(i).weight
+        cost += index.nearestDist * points(i).weight
         i += 1
       }
       if (changed) {

@@ -83,17 +83,19 @@ object Metrics {
   }
 
   /** Compute gain/recall for assignments `L` (vertex → cluster ids) and
-    * right clusters `R`. `cover(u) = ∪_{i ∈ L(u)} Ṽ_i`.
+    * right clusters `R`. `cover(u) = ∪_{i ∈ L(u)} Ṽ_i`. The per-vertex
+    * counts are summed on the executors; the driver receives one triple
+    * per partition.
     */
   def bmfQuality(
       left: Dataset[LeftVertex],
       assignments: Dataset[LeftAssignment],
       rightClusters: Array[SparseVec],
   )(implicit spark: SparkSession): BmfQuality = {
-    import spark.implicits._
     val bc = spark.sparkContext.broadcast(rightClusters)
-    val contrib = left
+    val (tp, cov, ones) = left
       .joinWith(assignments, left("u") === assignments("u"))
+      .rdd
       .map { case (lv, a) =>
         val vs = bc.value
         var cover = SparseVec.empty
@@ -101,13 +103,7 @@ object Metrics {
         val g = lv.vec
         (g.intersectSize(cover).toLong, cover.nnz.toLong, g.nnz.toLong)
       }
-    val parts = contrib.collect()
-    if (parts.isEmpty) BmfQuality(0L, 0L, 0L)
-    else {
-      val (tp, cov, ones) = parts.reduce { (a, b) =>
-        (a._1 + b._1, a._2 + b._2, a._3 + b._3)
-      }
-      BmfQuality(tp, cov, ones)
-    }
+      .fold((0L, 0L, 0L))((a, b) => (a._1 + b._1, a._2 + b._2, a._3 + b._3))
+    BmfQuality(tp, cov, ones)
   }
 }

@@ -261,9 +261,10 @@ object GreedyBicluster {
   }
 }
 
-/** Exact nearest-center search over the open centers of one clustering pass.
+/** Exact nearest-center search over the open centers of one clustering
+  * pass, or the centers of one Lloyd round ([[KMedians]], static sofa).
   *
-  * Centers never change their vector once opened, so the index keeps a
+  * Centers never change their vector once added, so the index keeps a
   * posting list per column with the centers that have it (in opening
   * order) plus each center's `nnz`. A query walks the posting lists of
   * the point's columns to count `|c ∩ u|` for every center, then makes
@@ -275,7 +276,7 @@ object GreedyBicluster {
   * center. Ties go to the lowest center index, as in a linear scan
   * with a strict `<`.
   */
-private[core] final class CenterIndex(alpha: Double) {
+private[repro] final class CenterIndex(alpha: Double) {
   private var size = 0
   private var nnz = new Array[Int](16)
   private var inter = new Array[Int](16)

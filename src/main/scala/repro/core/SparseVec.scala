@@ -112,5 +112,5 @@ object SparseVec {
   }
 
   /** Trusted constructor: `indices` must already be sorted and distinct. */
-  def fromSortedDistinct(indices: Array[Int]): SparseVec = new SparseVec(indices)
+  private[core] def fromSortedDistinct(indices: Array[Int]): SparseVec = new SparseVec(indices)
 }

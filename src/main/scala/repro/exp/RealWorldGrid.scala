@@ -114,13 +114,11 @@ object RealWorldGrid {
       }
       fits.foreach(_._2.rows.unpersist())
     } catch {
-      case _: BassoOutOfMemory =>
-        cfg.ks.foreach { k =>
-          cells += Cell(name, k, "basso", Double.NaN, Double.NaN, Double.NaN,
-            Double.NaN, ok = false)
-        }
       case scala.util.control.NonFatal(e) =>
-        Console.err.println(s"[RealWorldGrid] $name basso failed: $e")
+        // Running out of memory is the paper's expected outcome on its
+        // largest dataset; any other failure is reported.
+        if (!e.isInstanceOf[BassoOutOfMemory])
+          Console.err.println(s"[RealWorldGrid] $name basso failed: $e")
         cfg.ks.foreach { k =>
           cells += Cell(name, k, "basso", Double.NaN, Double.NaN, Double.NaN,
             Double.NaN, ok = false)

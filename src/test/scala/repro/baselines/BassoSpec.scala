@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.SparkSpec
+import repro.{JobCount, SparkSpec}
 import repro.core.{LeftVertex, Metrics, SparseVec}
 
 class BassoSpec extends SparkSpec {
@@ -122,18 +122,58 @@ class BassoSpec extends SparkSpec {
       rows.zipWithIndex.map { case (v, i) => (i.toLong, v.idx.toSeq) })
   }
 
-  test("noisy planted blocks still give strong gain") {
+  /** Three planted 20-row × 8-column blocks over 24 columns, with noise. */
+  private def noisyRows: Seq[SparseVec] = {
     val rng = new scala.util.Random(9)
-    val rows = (0 until 60).map { i =>
+    (0 until 60).map { i =>
       val b = i / 20
       val mine = (b * 8) until ((b + 1) * 8)
       SparseVec.fromArray(
         (mine.filter(_ => rng.nextDouble() < 0.9) ++
           (0 until 24).filter(_ => rng.nextDouble() < 0.01)).toArray)
     }
-    val model = Basso.fitOriented(toDs(rows), 24, Basso.Config(3, 0.6), flipped = false)
+  }
+
+  test("noisy planted blocks still give strong gain") {
+    val model = Basso.fitOriented(toDs(noisyRows), 24, Basso.Config(3, 0.6), flipped = false)
     val (_, _, q) = model.evaluate(3)
     assert(q.relativeHammingGain > 0.6, s"gain=${q.relativeHammingGain}")
     assert(q.recall > 0.7, s"recall=${q.recall}")
+  }
+
+  /** For every prefix, `evaluate`'s quality equals the DuckDB-checked
+    * reference `Metrics.bmfQuality` over the same rows and usage.
+    */
+  private def qualityMatchesReference(model: Basso.Model): Unit =
+    (0 to model.basis.length + 1).foreach { k =>
+      val (basis, assign, q) = model.evaluate(k)
+      assert(q == Metrics.bmfQuality(model.rows, assign, basis), s"k=$k")
+    }
+
+  test("evaluate's quality equals Metrics.bmfQuality for every prefix") {
+    val model = Basso.fitOriented(toDs(noisyRows), 24, Basso.Config(3, 0.6), flipped = false)
+    assert(model.basis.length == 3)
+    qualityMatchesReference(model)
+  }
+
+  test("evaluate's quality equals Metrics.bmfQuality on a flipped fit") {
+    // The noisy blocks transposed: 24 rows over 60 columns, so fit flips back.
+    val cols = noisyRows.zipWithIndex
+      .flatMap { case (v, i) => v.idx.map(j => (j, i)) }
+      .groupBy(_._1).toSeq.sortBy(_._1).map { case (_, ps) => SparseVec(ps.map(_._2)) }
+    val model = Basso.fit(toDs(cols), 60, Basso.Config(3, 0.6))
+    assert(model.flipped && model.basis.nonEmpty)
+    qualityMatchesReference(model)
+  }
+
+  test("evaluate's quality equals Metrics.bmfQuality on an empty dataset") {
+    import s.implicits._
+    val empty = s.createDataset(s.sparkContext.parallelize(Seq.empty[LeftVertex], 2))
+    qualityMatchesReference(Basso.fitOriented(empty, 3, Basso.Config(2, 0.8), flipped = false))
+  }
+
+  test("evaluate computes its quality in one Spark job") {
+    val model = Basso.fitOriented(toDs(noisyRows), 24, Basso.Config(3, 0.6), flipped = false)
+    assert(JobCount(s)(model.evaluate(3))._2 == 1)
   }
 }

@@ -326,3 +326,69 @@ object ThetaHeuristicProps extends Properties("ThetaHeuristic") {
     }
   }
 }
+
+/** Differential test of [[CenterIndex]] against a linear argmin of
+  * [[SparseVec.asymDistTo]], the scan it replaced in `Sofa.cluster`,
+  * `KMedians` and static sofa.
+  */
+object CenterIndexProps extends Properties("CenterIndex") {
+  import Prop.propBoolean
+
+  /** Mostly short vectors over few columns, so distances often tie. */
+  private val genVec: Gen[SparseVec] = Gen.frequency(
+    6 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 8))).map(l => SparseVec.fromArray(l.toArray)),
+    3 -> Gen.listOf(Gen.choose(0, 40)).map(l => SparseVec.fromArray(l.toArray)),
+    1 -> Gen.const(SparseVec.empty),
+  )
+
+  /** Centers, possibly none, some repeated verbatim. */
+  private val genCenters: Gen[Vector[SparseVec]] = for {
+    base <- Gen.listOf(genVec)
+    repeats <- Gen.listOf(Gen.choose(0, 1000))
+  } yield {
+    val b = base.toVector
+    if (b.isEmpty) b else b ++ repeats.map(r => b(r % b.length))
+  }
+
+  /** Queries, some with columns past every center. */
+  private val genQueries: Gen[List[SparseVec]] = Gen.nonEmptyListOf(Gen.frequency(
+    4 -> genVec,
+    1 -> (for { v <- genVec; far <- Gen.nonEmptyListOf(Gen.choose(41, 5000)) }
+      yield v.union(SparseVec.fromArray(far.toArray))),
+  ))
+
+  private val genAlpha: Gen[Double] = Gen.oneOf(0.1, 1.0)
+
+  /** Every query's nearest center and distance equal the linear scan's
+    * (lowest index on ties; −1 and `Double.MaxValue` with no center).
+    */
+  private def agrees(index: CenterIndex, centers: Vector[SparseVec], queries: List[SparseVec], alpha: Double): Prop =
+    Prop.all(queries.map { u =>
+      var best = -1; var bestD = Double.MaxValue
+      centers.indices.foreach { i =>
+        val d = centers(i).asymDistTo(u, alpha)
+        if (d < bestD) { bestD = d; best = i }
+      }
+      val got = index.nearest(u)
+      val gotD = index.nearestDist
+      (got == best && java.lang.Double.doubleToRawLongBits(gotD) == java.lang.Double.doubleToRawLongBits(bestD)) :|
+        s"query $u: index ($got, $gotD) vs scan ($best, $bestD)"
+    }: _*)
+
+  property("nearest equals a linear argmin of asymDistTo") =
+    forAll(genCenters, genQueries, genAlpha) { (cs, qs, alpha) =>
+      val index = new CenterIndex(alpha)
+      cs.foreach(index.add)
+      agrees(index, cs, qs, alpha)
+    }
+
+  property("an index reused after clear() equals the scan over its new centers") =
+    forAll(genCenters, genCenters, genQueries, genAlpha) { (before, after, qs, alpha) =>
+      val index = new CenterIndex(alpha)
+      before.foreach(index.add)
+      qs.foreach(index.nearest)
+      index.clear()
+      after.foreach(index.add)
+      agrees(index, after, qs, alpha)
+    }
+}
