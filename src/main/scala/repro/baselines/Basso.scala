@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.core.{LeftAssignment, LeftVertex, Metrics, SecondPass, SparseVec}
+import repro.core.{LeftAssignment, LeftVertex, Metrics, PartitionJob, SecondPass, SparseVec}
 
 /** Signals that the dense association matrix would not fit the memory
   * budget — reproduces the paper's basso out-of-memory on Wiki.
@@ -162,11 +162,11 @@ object Basso {
     */
   private def sumRows(rows: Dataset[LeftVertex], width: Int)(
       add: (Array[Long], SparseVec) => Unit): Array[Long] =
-    rows.rdd.mapPartitions { it =>
+    PartitionJob.run(rows.rdd) { it =>
       val acc = new Array[Long](width)
       it.foreach(lv => add(acc, lv.vec))
-      Iterator.single(acc)
-    }.fold(new Array[Long](width)) { (x, y) => x.indices.foreach(i => x(i) += y(i)); x }
+      acc
+    }.foldLeft(new Array[Long](width)) { (x, y) => x.indices.foreach(i => x(i) += y(i)); x }
 
   /** The union of the basis vectors the Asso rule uses for row `g`. */
   private def usedCover(g: SparseVec, basis: Array[SparseVec]): SparseVec =

@@ -93,17 +93,17 @@ object Metrics {
       rightClusters: Array[SparseVec],
   )(implicit spark: SparkSession): BmfQuality = {
     val bc = spark.sparkContext.broadcast(rightClusters)
-    val (tp, cov, ones) = left
-      .joinWith(assignments, left("u") === assignments("u"))
-      .rdd
-      .map { case (lv, a) =>
+    val add = (a: (Long, Long, Long), b: (Long, Long, Long)) => (a._1 + b._1, a._2 + b._2, a._3 + b._3)
+    val pairs = left.joinWith(assignments, left("u") === assignments("u")).rdd
+    val (tp, cov, ones) = PartitionJob.run(pairs) { it =>
+      it.map { case (lv, a) =>
         val vs = bc.value
         var cover = SparseVec.empty
         a.clusters.foreach(i => cover = cover.union(vs(i)))
         val g = lv.vec
         (g.intersectSize(cover).toLong, cover.nnz.toLong, g.nnz.toLong)
-      }
-      .fold((0L, 0L, 0L))((a, b) => (a._1 + b._1, a._2 + b._2, a._3 + b._3))
+      }.foldLeft((0L, 0L, 0L))(add)
+    }.foldLeft((0L, 0L, 0L))(add)
     BmfQuality(tp, cov, ones)
   }
 }

@@ -42,6 +42,14 @@ final class MisraGries private (
   def entries: Iterator[(Int, Long)] =
     counters.iterator.map { case (k, v) => (k.toInt, v) }
 
+  /** The items whose counter is at least `cut`, in no particular order. */
+  def itemsAtLeast(cut: Double): Array[Int] = {
+    val out = new Array[Int](counters.size)
+    var n = 0
+    counters.foreachEntry((k, v) => if (v >= cut) { out(n) = k.toInt; n += 1 })
+    java.util.Arrays.copyOf(out, n)
+  }
+
   /** Add item `j` with weight `w`. */
   def add(j: Int, w: Long = 1L): Unit = {
     require(w >= 0, s"negative weight $w")

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 
 /** A left-side vertex of the bipartite graph as it appears on the
   * stream: its id and the (sorted, distinct) indices of its right-side
@@ -207,7 +207,6 @@ object SecondPass {
       left: Dataset[LeftVertex],
       rightClusters: Array[SparseVec],
   )(implicit spark: SparkSession): Dataset[LeftAssignment] = {
-    import spark.implicits._
     val bc = spark.sparkContext.broadcast(rightClusters)
     left.map { lv =>
       val vs = bc.value
@@ -222,7 +221,7 @@ object SecondPass {
         i += 1
       }
       LeftAssignment(lv.u, Array(best))
-    }
+    }(assignmentEncoder)
   }
 
   /** One Spark job (Section 5.3 scoring, for all thresholds at once):
@@ -260,15 +259,15 @@ object SecondPass {
   )(add: (Array[Long], GreedyCover.Result, LeftVertex) => Unit)(
       implicit spark: SparkSession): Array[Array[Long]] = {
     val bc = spark.sparkContext.broadcast(sets.toArray)
-    left.rdd.mapPartitions { it =>
+    PartitionJob.run(left.rdd) { it =>
       val covers = bc.value.map(new GreedyCover(_))
       val acc = bc.value.map(ix => new Array[Long](width(ix)))
       it.foreach { lv =>
         var t = 0
         while (t < covers.length) { add(acc(t), covers(t).run(lv.nbrs), lv); t += 1 }
       }
-      Iterator.single(acc)
-    }.fold(sets.map(ix => new Array[Long](width(ix))).toArray) { (x, y) =>
+      acc
+    }.foldLeft(sets.map(ix => new Array[Long](width(ix))).toArray) { (x, y) =>
       x.indices.foreach(t => x(t).indices.foreach(i => x(t)(i) += y(t)(i)))
       x
     }
@@ -279,13 +278,17 @@ object SecondPass {
       left: Dataset[LeftVertex],
       set: CoverIndex,
   )(implicit spark: SparkSession): Dataset[LeftAssignment] = {
-    import spark.implicits._
     val bc = spark.sparkContext.broadcast(set)
     left.mapPartitions { it =>
       val cover = new GreedyCover(bc.value)
       it.map(lv => LeftAssignment(lv.u, cover.run(lv.nbrs).picks))
-    }
+    }(assignmentEncoder)
   }
+
+  /** Derived once, not by reflection on every call as
+    * `spark.implicits` would.
+    */
+  private lazy val assignmentEncoder: Encoder[LeftAssignment] = Encoders.product[LeftAssignment]
 
   /** Section 5.3: the indices of the `k` highest-scoring clusters, in
     * ascending order (ties keep the lower index).

@@ -222,7 +222,9 @@ object Sofa {
   /** `{ j : estimate(j) ≥ θ·W }` as a sparse vector. */
   def threshold(mg: MisraGries, theta: Double, totalWeight: Long): SparseVec = {
     val cut = theta * totalWeight
-    SparseVec.fromArray(mg.entries.collect { case (j, c) if c >= cut => j }.toArray)
+    val items = mg.itemsAtLeast(cut)
+    java.util.Arrays.sort(items)
+    SparseVec.fromSortedDistinct(items)
   }
 }
 

@@ -20,23 +20,22 @@ object SofaDistributed {
 
   /** First pass: vertex stream in, surviving weighted centers out.
     *
-    * One Spark job: a partition map over `left.rdd` whose centers come
-    * back as [[PortableCenter]]s in the ordinary task results, then the
-    * driver merge. Rejects a vertex with a column `≥ cfg.nRight`.
+    * One Spark job ([[PartitionJob]]): a partition map over `left.rdd`
+    * whose centers come back as [[PortableCenter]]s in the ordinary task
+    * results, then the driver merge. Rejects a vertex with a column
+    * `≥ cfg.nRight`.
     */
   def firstPass(
       left: Dataset[LeftVertex],
       cfg: Sofa.Config,
   )(implicit spark: SparkSession): IndexedSeq[Sofa.Center] = {
-    val partCenters: Array[PortableCenter] = left.rdd
-      .mapPartitions { it =>
-        val centers = Sofa.cluster(it.map(lv => Sofa.freshItem(checkedVec(lv, cfg.nRight), cfg)), cfg)
-        centers.iterator.map(PortableCenter.from)
-      }
-      .collect()
-    // Merge: replay all per-partition centers through the same
-    // sequential algorithm on the driver.
-    Sofa.cluster(partCenters.iterator.map(_.toCenter(cfg.mgCapacity)), cfg)
+    val partCenters: Array[Array[PortableCenter]] = PartitionJob.run(left.rdd) { it =>
+      Sofa.cluster(it.map(lv => Sofa.freshItem(checkedVec(lv, cfg.nRight), cfg)), cfg)
+        .iterator.map(PortableCenter.from).toArray
+    }
+    // Merge: replay all per-partition centers, in partition order,
+    // through the same sequential algorithm on the driver.
+    Sofa.cluster(partCenters.iterator.flatten.map(_.toCenter(cfg.mgCapacity)), cfg)
   }
 
   /** `lv.vec`, rejecting a vertex with a column outside `[0, nRight)`. */

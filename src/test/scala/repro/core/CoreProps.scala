@@ -87,6 +87,62 @@ object MisraGriesProps extends Properties("MisraGries") {
     }
 }
 
+/** `Sofa.threshold` against the tuple-and-sort expression it replaced. */
+object SofaThresholdProps extends Properties("Sofa.threshold") {
+  import Prop.propBoolean
+
+  /** Weighted adds, sometimes merged with a second sketch; small
+    * capacities, so many sketches compact.
+    */
+  private val genSketch: Gen[MisraGries] = {
+    val genAdds = Gen.listOf(Gen.zip(Gen.choose(0, 60), Gen.choose(1L, 20L)))
+    for {
+      cap <- Gen.choose(1, 12)
+      xs <- genAdds
+      ys <- Gen.option(genAdds)
+    } yield {
+      val mg = MisraGries(cap)
+      xs.foreach { case (j, w) => mg.add(j, w) }
+      ys.foreach { adds =>
+        val other = MisraGries(cap)
+        adds.foreach { case (j, w) => other.add(j, w) }
+        mg.merge(other)
+      }
+      mg
+    }
+  }
+
+  /** (θ, W): θ = 0, θ > 1, cuts exactly on a counter value (W = 1, or
+    * W a power of two with θ = c / W), and arbitrary ones.
+    */
+  private def genCut(mg: MisraGries): Gen[(Double, Long)] = {
+    val counters = mg.entries.map(_._2).toVector
+    val onCounter =
+      if (counters.isEmpty) Gen.const((0.5, 2L))
+      else for {
+        c <- Gen.oneOf(counters)
+        p <- Gen.choose(0, 4)
+      } yield (c.toDouble / (1L << p), 1L << p)
+    Gen.frequency(
+      1 -> Gen.choose(0L, 400L).map(w => (0.0, w)),
+      1 -> Gen.zip(Gen.choose(1.0, 4.0), Gen.choose(1L, 400L)),
+      3 -> onCounter,
+      3 -> Gen.zip(Gen.choose(0.0, 1.0), Gen.choose(0L, mg.totalWeight * 2)),
+    )
+  }
+
+  property("threshold equals the filtered entries, sorted") =
+    forAll(genSketch.flatMap(mg => genCut(mg).map(c => (mg, c)))) { case (mg, (theta, w)) =>
+      val cut = theta * w
+      val want = SparseVec.fromArray(mg.entries.collect { case (j, c) if c >= cut => j }.toArray)
+      val got = Sofa.threshold(mg, theta, w)
+      val compacted = mg.entries.map(_._2).sum < mg.totalWeight
+      Prop.classify(compacted, "compacted")(
+        Prop.classify(mg.entries.exists(_._2 == cut), "cut on a counter")(
+          (got.idx.sameElements(want.idx)) :| s"θ = $theta, W = $w: $got vs $want"))
+    }
+}
+
 /** Differential test of the indexed greedy cover against [[NaiveCover]]. */
 object GreedyCoverProps extends Properties("GreedyCover") {
   import Prop.propBoolean

@@ -86,4 +86,9 @@ class FirstPassSpec extends SparkSpec {
     assert(res.length == 3)
     assert(jobs == 2)
   }
+
+  test("bmfAutoPipeline runs three Spark jobs") {
+    val left = split(rows.toSeq, 4)
+    assert(JobCount(s)(SofaDistributed.bmfAutoPipeline(left, cfg))._2 == 3)
+  }
 }
