@@ -15,7 +15,7 @@ object RunSofa {
   def main(args: Array[String]): Unit = {
     val dataset = args.lift(0).getOrElse("20News")
     val k = args.lift(1).map(_.toInt).getOrElse(20)
-    implicit val spark: SparkSession = SparkSession.builder
+    implicit val spark: SparkSession = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"sofa-$dataset-k$k")
       .getOrCreate()

@@ -16,7 +16,7 @@ object RunTables {
       .getOrElse(Tables.Datasets)
     val ks = args.lift(1).map(_.split(",").map(_.toInt).toSeq)
       .getOrElse(Tables.OurKs)
-    implicit val spark: SparkSession = SparkSession.builder
+    implicit val spark: SparkSession = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-tables")
       .getOrCreate()

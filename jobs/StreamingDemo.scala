@@ -22,7 +22,7 @@ object StreamingDemo {
     val k = args.lift(0).map(_.toInt).getOrElse(10)
     val ell = args.lift(1).map(_.toInt).getOrElse(100)
     val n = args.lift(2).map(_.toInt).getOrElse(2000)
-    implicit val spark: SparkSession = SparkSession.builder
+    implicit val spark: SparkSession = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("sofa-streaming-demo")
       .getOrCreate()

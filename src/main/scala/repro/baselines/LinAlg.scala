@@ -56,18 +56,20 @@ object LinAlg {
     */
   final case class Svd(u: Array[Array[Double]], s: Array[Double], v: Array[Array[Double]])
 
+  private val SvdIters = 60
+
   /** Top-`k` singular triplets of `a` by orthogonal iteration on the
-    * right singular subspace: `V ← qr(Aᵀ(A V))` until the projected
-    * spectrum stabilizes. Deterministic in `seed`.
+    * right singular subspace: `V ← qr(Aᵀ(A V))`, [[SvdIters]] times.
+    * Deterministic in `seed`.
     */
-  def truncatedSvd(a: SparseMatrix, k: Int, iters: Int = 60, seed: Long = 5L): Svd = {
+  def truncatedSvd(a: SparseMatrix, k: Int, seed: Long = 5L): Svd = {
     val dim = a.numCols
     val kk = math.max(1, math.min(k, math.min(a.numRows, dim)))
     val rng = new Random(seed)
     var v = Array.fill(kk)(Array.fill(dim)(rng.nextGaussian()))
     orthonormalize(v)
     var it = 0
-    while (it < iters) {
+    while (it < SvdIters) {
       v = v.map(col => a.multT(a.mult(col)))
       orthonormalize(v)
       it += 1
@@ -123,13 +125,15 @@ object LinAlg {
     while (i < x.length) { x(i) *= alpha; i += 1 }
   }
 
-  /** Plain Euclidean k-means (k-means++ seeding + Lloyd) on dense
-    * points; used on the spectral embeddings.
+  private val KmeansMaxIter = 50
+
+  /** Plain Euclidean k-means (k-means++ seeding + Lloyd, at most
+    * [[KmeansMaxIter]] rounds) on dense points; used on the spectral
+    * embeddings.
     */
   def kmeans(
       points: Array[Array[Double]],
       k: Int,
-      maxIter: Int = 50,
       seed: Long = 23L,
   ): Array[Int] = {
     val m = points.length
@@ -163,7 +167,7 @@ object LinAlg {
     val assign = new Array[Int](m)
     var changed = true
     var it = 0
-    while (changed && it < maxIter) {
+    while (changed && it < KmeansMaxIter) {
       changed = false
       var i = 0
       while (i < m) {

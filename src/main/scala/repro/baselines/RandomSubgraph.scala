@@ -60,7 +60,7 @@ object RandomSubgraph {
     }
     val localClusters: Array[Array[Int]] = algo(rows, vKeep.length, k)
     val global: Array[scala.collection.mutable.ArrayBuffer[Int]] =
-      localClusters.map(c => scala.collection.mutable.ArrayBuffer(c.map(vKeep): _*))
+      localClusters.map(c => scala.collection.mutable.ArrayBuffer.from(c.map(vKeep)))
 
     // Attach the low-degree leftovers V' ∖ V'' by average-neighborhood
     // distance: x_v ∈ {0,1}^m̃ (incidence over the sample), cluster

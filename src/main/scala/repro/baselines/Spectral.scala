@@ -19,11 +19,15 @@ import repro.core.SparseVec
   */
 object Spectral {
 
-  def dhillon(rows: Array[SparseVec], nCols: Int, k: Int, seed: Long = 31L): Array[Array[Int]] = {
+  // Each method's seed for both its SVD start and its k-means.
+  private val DhillonSeed = 31L
+  private val ZhaSeed = 37L
+
+  def dhillon(rows: Array[SparseVec], nCols: Int, k: Int): Array[Array[Int]] = {
     if (rows.isEmpty || nCols == 0) return Array.fill(k)(Array.emptyIntArray)
     val an = normalized(rows, nCols)
     val ell = math.max(2, ceilLog2(k) + 1)
-    val svd = LinAlg.truncatedSvd(an.matrix, ell, seed = seed)
+    val svd = LinAlg.truncatedSvd(an.matrix, ell, seed = DhillonSeed)
     // Drop the trivial leading singular vector; embed rows and columns.
     val useDims = (1 until math.min(ell, svd.s.length)).toArray
     val dims = if (useDims.isEmpty) Array(0) else useDims
@@ -38,20 +42,20 @@ object Spectral {
       points(rows.length + j) = dims.map(d => svd.v(d)(j) * an.d2InvSqrt(j))
       j += 1
     }
-    val assign = LinAlg.kmeans(points, k, seed = seed)
+    val assign = LinAlg.kmeans(points, k, seed = DhillonSeed)
     columnsByCluster(assign.drop(rows.length), k)
   }
 
-  def zha(rows: Array[SparseVec], nCols: Int, k: Int, seed: Long = 37L): Array[Array[Int]] = {
+  def zha(rows: Array[SparseVec], nCols: Int, k: Int): Array[Array[Int]] = {
     if (rows.isEmpty || nCols == 0) return Array.fill(k)(Array.emptyIntArray)
     val an = normalized(rows, nCols)
     val ell = math.max(2, k)
-    val svd = LinAlg.truncatedSvd(an.matrix, ell, seed = seed)
+    val svd = LinAlg.truncatedSvd(an.matrix, ell, seed = ZhaSeed)
     val dims = svd.s.indices.toArray
     val points = Array.tabulate(nCols) { j =>
       dims.map(d => svd.v(d)(j) * an.d2InvSqrt(j))
     }
-    val assign = LinAlg.kmeans(points, k, seed = seed)
+    val assign = LinAlg.kmeans(points, k, seed = ZhaSeed)
     columnsByCluster(assign, k)
   }
 

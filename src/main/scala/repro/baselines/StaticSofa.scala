@@ -22,21 +22,24 @@ object StaticSofa {
       assignment: Dataset[(Long, Int)],
   )
 
+  // The assignment distance's weight (Section 5.1), the Lloyd round cap
+  // and the seed of the initial centers.
+  private val Alpha = 0.1
+  private val MaxIter = 12
+  private val Seed = 77L
+
   def run(
       left: Dataset[LeftVertex],
       nRight: Int,
       k: Int,
       theta: Double,
-      alpha: Double = 0.1,
-      maxIter: Int = 12,
-      seed: Long = 77L,
   )(implicit spark: SparkSession): Result = {
     import spark.implicits._
-    val sample = left.rdd.takeSample(withReplacement = false, num = k, seed = seed)
+    val sample = left.rdd.takeSample(withReplacement = false, num = k, seed = Seed)
     var centers: Array[SparseVec] =
       if (sample.isEmpty) Array.fill(k)(SparseVec.empty)
       else Array.tabulate(k)(i => sample(i % sample.length).vec)
-    val rng = new Random(seed)
+    val rng = new Random(Seed)
     if (sample.nonEmpty && sample.length < k) {
       // Too few vertices: pad with random singletons to keep k centers.
       centers = centers.take(sample.length) ++
@@ -44,19 +47,19 @@ object StaticSofa {
     }
 
     var it = 0
-    while (it < maxIter) {
+    while (it < MaxIter) {
       val next = centers.clone()
-      clusterColumns(left, centers, alpha)(_ * 2 >= _).foreach { case (c, v) => next(c) = v }
+      clusterColumns(left, centers)(_ * 2 >= _).foreach { case (c, v) => next(c) = v }
       val changed = !next.indices.forall(i => next(i) == centers(i))
       centers = next
       it += 1
-      if (!changed) it = maxIter
+      if (!changed) it = MaxIter
     }
 
     // Final assignment + exact-count thresholding.
-    val assignment = nearest(left, centers, alpha).map(a => (a._1, a._2)).cache()
+    val assignment = nearest(left, centers).map(a => (a._1, a._2)).cache()
     val rights = Array.fill(k)(SparseVec.empty)
-    clusterColumns(left, centers, alpha)(_ >= theta * _).foreach { case (c, v) => rights(c) = v }
+    clusterColumns(left, centers)(_ >= theta * _).foreach { case (c, v) => rights(c) = v }
     Result(rights, assignment)
   }
 
@@ -67,10 +70,9 @@ object StaticSofa {
   private def clusterColumns(
       left: Dataset[LeftVertex],
       centers: Array[SparseVec],
-      alpha: Double,
   )(keep: (Long, Long) => Boolean)(implicit spark: SparkSession): Array[(Int, SparseVec)] = {
     import spark.implicits._
-    nearest(left, centers, alpha)
+    nearest(left, centers)
       .groupByKey(_._2)
       .mapGroups { (c, it) =>
         val counts = scala.collection.mutable.LongMap.empty[Long]
@@ -93,14 +95,13 @@ object StaticSofa {
   private def nearest(
       left: Dataset[LeftVertex],
       centers: Array[SparseVec],
-      alpha: Double,
   )(implicit spark: SparkSession): Dataset[(Long, Int, Array[Int])] = {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(centers)
     left.mapPartitions { it =>
-      val index = new CenterIndex(alpha)
+      val index = new CenterIndex
       bc.value.foreach(index.add)
-      it.map(lv => (lv.u, index.nearest(lv.vec), lv.nbrs))
+      it.map(lv => (lv.u, index.nearest(lv.vec, Alpha), lv.nbrs))
     }
   }
 }

@@ -23,7 +23,11 @@ object KMedians {
   /** Result: for every input point, the index of its cluster in [0, k). */
   final case class Result(assignment: Array[Int], centers: Array[SparseVec], cost: Double)
 
-  /** Cluster `points` into at most `k` groups. Runs `restarts`
+  // Independent seedings per call, and the Lloyd round cap of each.
+  private val Restarts = 7
+  private val MaxIter = 25
+
+  /** Cluster `points` into at most `k` groups. Runs [[Restarts]]
     * independent seedings and keeps the lowest-cost result (k-means++
     * is randomized; a bad seed can cost a whole cluster).
     *
@@ -34,12 +38,10 @@ object KMedians {
       points: IndexedSeq[WPoint],
       k: Int,
       alpha: Double = 1.0,
-      maxIter: Int = 25,
       seed: Long = 17L,
-      restarts: Int = 7,
   ): Result = {
-    (0 until math.max(1, restarts))
-      .map(r => clusterOnce(points, k, alpha, maxIter, seed + 1000L * r))
+    (0 until Restarts)
+      .map(r => clusterOnce(points, k, alpha, seed + 1000L * r))
       .minBy(_.cost)
   }
 
@@ -47,7 +49,6 @@ object KMedians {
       points: IndexedSeq[WPoint],
       k: Int,
       alpha: Double,
-      maxIter: Int,
       seed: Long,
   ): Result = {
     require(k >= 1, s"k must be >= 1, got $k")
@@ -78,18 +79,18 @@ object KMedians {
 
     // --- Lloyd iterations with majority-vote center update ----------
     val assign = new Array[Int](m)
-    val index = new CenterIndex(alpha)
+    val index = new CenterIndex
     var cost = 0.0
     var it = 0
     var changed = true
-    while (it < maxIter && changed) {
+    while (it < MaxIter && changed) {
       changed = false
       cost = 0.0
       index.clear()
       centers.foreach(index.add)
       var i = 0
       while (i < m) {
-        val best = index.nearest(points(i).vec)
+        val best = index.nearest(points(i).vec, alpha)
         if (assign(i) != best) { assign(i) = best; changed = true }
         cost += index.nearestDist * points(i).weight
         i += 1

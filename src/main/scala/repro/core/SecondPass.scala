@@ -33,42 +33,9 @@ final case class LeftVertex(u: Long, nbrs: Array[Int]) {
   */
 final case class LeftAssignment(u: Long, clusters: Array[Int])
 
-/** Column→cluster inverted index of a set of right clusters, in CSR
-  * form: the clusters containing column `j` are
-  * `members(start(j) until start(j + 1))`, in ascending order. Built
-  * once per cluster set on the driver and broadcast to the second pass.
-  * Columns at or past `cols` lie in no cluster.
-  */
-final class CoverIndex(val clusters: Array[SparseVec]) extends Serializable {
-  require(clusters.forall(c => c.isEmpty || c.idx(0) >= 0), "cluster columns must be non-negative")
-
-  def size: Int = clusters.length
-
-  private[core] val cols: Int =
-    clusters.foldLeft(0)((m, c) => if (c.isEmpty) m else math.max(m, c.idx.last + 1))
-
-  private[core] val start: Array[Int] = {
-    val s = new Array[Int](cols + 1)
-    clusters.foreach(_.idx.foreach(j => s(j + 1) += 1))
-    var j = 0
-    while (j < cols) { s(j + 1) += s(j); j += 1 }
-    s
-  }
-
-  private[core] val members: Array[Int] = {
-    val m = new Array[Int](start(cols))
-    val next = start.clone()
-    var i = 0
-    while (i < clusters.length) {
-      clusters(i).idx.foreach { j => m(next(j)) = i; next(j) += 1 }
-      i += 1
-    }
-    m
-  }
-}
-
-/** The greedy cover of Section 4.2 over one [[CoverIndex]], with
-  * scratch state reused across vertices (one instance per task).
+/** The greedy cover of Section 4.2 over the right clusters `clusters`,
+  * read through their [[CenterIndex]], with scratch state reused
+  * across vertices (one instance per task).
   *
   * It keeps, per cluster `A`, `covered = |A ∩ Γ(u) ∖ Y|` and
   * `over = |A ∖ (Γ(u) ∪ Y)|`, so `score(A | Γ(u), Y) = covered − over`.
@@ -77,38 +44,42 @@ final class CoverIndex(val clusters: Array[SparseVec]) extends Serializable {
   * those columns change. Picks, their order and their scores equal the
   * naive rescan of every cluster in every round: the highest score
   * wins, ties go to the lowest index, the loop stops when no score is
-  * positive or after `size` rounds.
+  * positive or after `clusters.length` rounds.
   */
-final class GreedyCover(index: CoverIndex) {
-  private val covered = new Array[Int](index.size)
-  private val over = new Array[Int](index.size)
-  private val seen = new Array[Int](index.size)
-  private val active = new Array[Int](index.size)
-  private val picks = new Array[Int](index.size)
-  private val gains = new Array[Long](index.size)
-  private val inG = new Array[Int](index.cols)
-  private val inY = new Array[Int](index.cols)
+final class GreedyCover(clusters: Array[SparseVec]) {
+  private val index = new CenterIndex
+  clusters.foreach(index.add)
+  private val size = clusters.length
+  private val covered = new Array[Int](size)
+  private val over = new Array[Int](size)
+  private val seen = new Array[Int](size)
+  private val active = new Array[Int](size)
+  private val picks = new Array[Int](size)
+  private val gains = new Array[Long](size)
+  private val inG = new Array[Int](index.columns)
+  private val inY = new Array[Int](index.columns)
   // Marks in `seen`, `inG` and `inY` count for the current vertex only
   // when they equal `epoch`, so nothing is cleared between vertices.
   private var epoch = 0
 
-  /** Greedily cover the sorted, distinct neighborhood `g`. */
-  def run(g: Array[Int]): GreedyCover.Result = {
+  /** Greedily cover the neighborhood `g`. */
+  def run(g: SparseVec): GreedyCover.Result = {
     if (epoch == Int.MaxValue) {
       java.util.Arrays.fill(seen, 0); java.util.Arrays.fill(inG, 0); java.util.Arrays.fill(inY, 0)
       epoch = 0
     }
     epoch += 1
-    val ix = index
+    val gIdx = g.idx
     var nActive = 0
     var a = 0
-    while (a < g.length) {
-      val j = g(a)
-      if (j >= 0 && j < ix.cols) {
+    while (a < gIdx.length) {
+      val j = gIdx(a)
+      if (j >= 0 && j < index.columns) {
         inG(j) = epoch
-        var p = ix.start(j)
-        while (p < ix.start(j + 1)) {
-          val i = ix.members(p)
+        val list = index.postingList(j)
+        var p = 0
+        while (p < index.postingLength(j)) {
+          val i = list(p)
           if (seen(i) != epoch) { seen(i) = epoch; covered(i) = 0; active(nActive) = i; nActive += 1 }
           covered(i) += 1
           p += 1
@@ -117,13 +88,13 @@ final class GreedyCover(index: CoverIndex) {
       a += 1
     }
     var q = 0
-    while (q < nActive) { val i = active(q); over(i) = ix.clusters(i).nnz - covered(i); q += 1 }
+    while (q < nActive) { val i = active(q); over(i) = clusters(i).nnz - covered(i); q += 1 }
 
     var nPicks = 0
     var tp = 0
     var coverSize = 0
     var continue = true
-    while (continue && nPicks < ix.size) {
+    while (continue && nPicks < size) {
       var best = -1; var bestScore = 0
       q = 0
       while (q < nActive) {
@@ -140,7 +111,7 @@ final class GreedyCover(index: CoverIndex) {
       if (best < 0) continue = false
       else {
         picks(nPicks) = best; gains(nPicks) = bestScore; nPicks += 1
-        val cols = ix.clusters(best).idx
+        val cols = clusters(best).idx
         var c = 0
         while (c < cols.length) {
           val j = cols(c)
@@ -149,9 +120,10 @@ final class GreedyCover(index: CoverIndex) {
             coverSize += 1
             val hit = inG(j) == epoch
             if (hit) tp += 1
-            var p = ix.start(j)
-            while (p < ix.start(j + 1)) {
-              val i = ix.members(p)
+            val list = index.postingList(j)
+            var p = 0
+            while (p < index.postingLength(j)) {
+              val i = list(p)
               if (seen(i) == epoch) { if (hit) covered(i) -= 1 else over(i) -= 1 }
               p += 1
             }
@@ -230,9 +202,9 @@ object SecondPass {
     */
   def coverScores(
       left: Dataset[LeftVertex],
-      sets: Seq[CoverIndex],
+      sets: Seq[Array[SparseVec]],
   )(implicit spark: SparkSession): Array[Array[Long]] =
-    sumCovers(left, sets, _.size) { (acc, r, _) =>
+    sumCovers(left, sets, _.length) { (acc, r, _) =>
       var p = 0
       while (p < r.picks.length) { acc(r.picks(p)) += r.gains(p); p += 1 }
     }
@@ -242,32 +214,34 @@ object SecondPass {
     */
   def coverQuality(
       left: Dataset[LeftVertex],
-      sets: Seq[CoverIndex],
+      sets: Seq[Array[SparseVec]],
   )(implicit spark: SparkSession): Seq[Metrics.BmfQuality] =
-    sumCovers(left, sets, _ => 3) { (acc, r, lv) =>
-      acc(0) += r.truePositives; acc(1) += r.coverSize; acc(2) += lv.nbrs.length
+    sumCovers(left, sets, _ => 3) { (acc, r, g) =>
+      acc(0) += r.truePositives; acc(1) += r.coverSize; acc(2) += g.nnz
     }.map(a => Metrics.BmfQuality(a(0), a(1), a(2))).toSeq
 
-  /** Covers every vertex with every set in one pass, folding each
-    * cover into that set's array of `width(set)` sums with `add`; the
-    * partitions' arrays are summed on the driver.
+  /** Covers every vertex `lv.vec` (so malformed rows are rejected)
+    * with every set in one pass, folding each cover into that set's
+    * array of `width(set)` sums with `add`; the partitions' arrays are
+    * summed on the driver.
     */
   private def sumCovers(
       left: Dataset[LeftVertex],
-      sets: Seq[CoverIndex],
-      width: CoverIndex => Int,
-  )(add: (Array[Long], GreedyCover.Result, LeftVertex) => Unit)(
+      sets: Seq[Array[SparseVec]],
+      width: Array[SparseVec] => Int,
+  )(add: (Array[Long], GreedyCover.Result, SparseVec) => Unit)(
       implicit spark: SparkSession): Array[Array[Long]] = {
     val bc = spark.sparkContext.broadcast(sets.toArray)
     PartitionJob.run(left.rdd) { it =>
       val covers = bc.value.map(new GreedyCover(_))
-      val acc = bc.value.map(ix => new Array[Long](width(ix)))
+      val acc = bc.value.map(c => new Array[Long](width(c)))
       it.foreach { lv =>
+        val g = lv.vec
         var t = 0
-        while (t < covers.length) { add(acc(t), covers(t).run(lv.nbrs), lv); t += 1 }
+        while (t < covers.length) { add(acc(t), covers(t).run(g), g); t += 1 }
       }
       acc
-    }.foldLeft(sets.map(ix => new Array[Long](width(ix))).toArray) { (x, y) =>
+    }.foldLeft(sets.map(c => new Array[Long](width(c))).toArray) { (x, y) =>
       x.indices.foreach(t => x(t).indices.foreach(i => x(t)(i) += y(t)(i)))
       x
     }
@@ -276,12 +250,12 @@ object SecondPass {
   /** Lazily assign every vertex to the clusters of its greedy cover. */
   def coverAssignments(
       left: Dataset[LeftVertex],
-      set: CoverIndex,
+      set: Array[SparseVec],
   )(implicit spark: SparkSession): Dataset[LeftAssignment] = {
     val bc = spark.sparkContext.broadcast(set)
     left.mapPartitions { it =>
       val cover = new GreedyCover(bc.value)
-      it.map(lv => LeftAssignment(lv.u, cover.run(lv.nbrs).picks))
+      it.map(lv => LeftAssignment(lv.u, cover.run(lv.vec).picks))
     }(assignmentEncoder)
   }
 
@@ -305,8 +279,8 @@ object SecondPass {
       candidates: Array[SparseVec],
       k: Int,
   )(implicit spark: SparkSession): (Array[SparseVec], Dataset[LeftAssignment]) = {
-    val scores = coverScores(left, Seq(new CoverIndex(candidates))).head
+    val scores = coverScores(left, Seq(candidates)).head
     val kept = topK(scores, k).map(candidates)
-    (kept, coverAssignments(left, new CoverIndex(kept)))
+    (kept, coverAssignments(left, kept))
   }
 }

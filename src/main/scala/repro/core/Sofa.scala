@@ -93,7 +93,7 @@ object Sofa {
     */
   def cluster(items: Iterator[Center], cfg: Config): IndexedSeq[Center] = {
     val rng = new Random(cfg.seed)
-    val index = new CenterIndex(cfg.alpha)
+    val index = new CenterIndex
     var lb = 1.0
     var restarts = 0
     var pending: Iterator[Center] = items
@@ -113,7 +113,7 @@ object Sofa {
           centers += u
           index.add(u.vec)
         } else {
-          val best = index.nearest(u.vec)
+          val best = index.nearest(u.vec, cfg.alpha)
           val bestD = index.nearestDist
           val sampled = restarts < cfg.maxRestarts &&
             rng.nextDouble() < math.min(u.weight.toDouble * bestD / f, 1.0)
@@ -245,10 +245,10 @@ object GreedyBicluster {
       mgCapacity: Int,
   ): Result = {
     val centers = ArrayBuffer.empty[Sofa.Center]
-    // With alpha = 1 the index distance is the symmetric Hamming distance.
-    val index = new CenterIndex(alpha = 1.0)
+    val index = new CenterIndex
     stream.foreach { x =>
-      val best = index.nearest(x)
+      // With alpha = 1 the index distance is the symmetric Hamming distance.
+      val best = index.nearest(x, alpha = 1.0)
       if (best < 0 || index.nearestDist > alphaDist) {
         centers += new Sofa.Center(x, 1L, MisraGries.ofVector(x, mgCapacity))
         index.add(x)
@@ -263,22 +263,24 @@ object GreedyBicluster {
   }
 }
 
-/** Exact nearest-center search over the open centers of one clustering
-  * pass, or the centers of one Lloyd round ([[KMedians]], static sofa).
+/** Exact column→set inverted index over the open centers of one
+  * clustering pass, the centers of one Lloyd round ([[KMedians]],
+  * static sofa), or the clusters of one [[GreedyCover]].
   *
-  * Centers never change their vector once added, so the index keeps a
-  * posting list per column with the centers that have it (in opening
-  * order) plus each center's `nnz`. A query walks the posting lists of
-  * the point's columns to count `|c ∩ u|` for every center, then makes
-  * one pass over the centers to evaluate
+  * Sets never change once added, so the index keeps a posting list per
+  * column with the sets that have it (ascending: in insertion order)
+  * plus each set's `nnz`. A [[nearest]] query walks the posting lists
+  * of the point's columns to count `|c ∩ u|` for every center, then
+  * makes one pass over the centers to evaluate
   * `(|u| − ∩) + alpha·(|c| − ∩)` — the very expression of
   * [[SparseVec.asymDistTo]], so every distance is bit-identical — and
   * to reset the counts. A query therefore costs the summed posting-list
   * lengths plus the number of centers, instead of one sorted merge per
   * center. Ties go to the lowest center index, as in a linear scan
-  * with a strict `<`.
+  * with a strict `<`. Queries write scratch state, so the index is not
+  * serializable: every task builds its own.
   */
-private[repro] final class CenterIndex(alpha: Double) {
+private[repro] final class CenterIndex {
   private var size = 0
   private var nnz = new Array[Int](16)
   private var inter = new Array[Int](16)
@@ -334,10 +336,19 @@ private[repro] final class CenterIndex(alpha: Double) {
     size = 0
   }
 
-  /** Index of the center nearest to `u` (lowest index on ties), or −1
-    * when no center is open; its distance is left in [[nearestDist]].
+  /** The sets containing column `j < columns`, ascending, are
+    * `postingList(j)(0 until postingLength(j))`; no set has a column
+    * at or past `columns`.
     */
-  def nearest(u: SparseVec): Int = {
+  private[core] def columns: Int = postings.length
+  private[core] def postingList(j: Int): Array[Int] = postings(j)
+  private[core] def postingLength(j: Int): Int = postingLen(j)
+
+  /** Index of the center nearest to `u` under the asymmetric distance
+    * with weight `alpha` (lowest index on ties), or −1 when no center
+    * is open; its distance is left in [[nearestDist]].
+    */
+  def nearest(u: SparseVec, alpha: Double): Int = {
     val cols = u.idx
     var a = 0
     while (a < cols.length) {

@@ -111,16 +111,12 @@ object SofaDistributed {
       k: Int,
       thetas: Seq[Double],
   )(implicit spark: SparkSession): Seq[BmfResult] = {
-    val candidates = thetas.map { t =>
-      new CoverIndex(Sofa.postprocessPerCenter(centers, t).filter(_.nnz > 0))
-    }
+    val candidates = thetas.map(t => Sofa.postprocessPerCenter(centers, t).filter(_.nnz > 0))
     val scores = SecondPass.coverScores(left, candidates)
-    val kept = candidates.zip(scores).map { case (c, s) =>
-      new CoverIndex(SecondPass.topK(s, k).map(c.clusters))
-    }
+    val kept = candidates.zip(scores).map { case (c, s) => SecondPass.topK(s, k).map(c) }
     val quality = SecondPass.coverQuality(left, kept)
     thetas.indices.map { t =>
-      BmfResult(thetas(t), kept(t).clusters, SecondPass.coverAssignments(left, kept(t)), quality(t))
+      BmfResult(thetas(t), kept(t), SecondPass.coverAssignments(left, kept(t)), quality(t))
     }
   }
 }

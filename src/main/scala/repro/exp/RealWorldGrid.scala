@@ -84,7 +84,7 @@ object RealWorldGrid {
       ).foreach { case (algoName, algo) =>
         cells += timed(name, k, algoName) { () =>
           val run = RandomSubgraph.rightClusters(left, k, rsCfg, algo)
-          val q = SecondPass.coverQuality(left, Seq(new CoverIndex(run.rightClusters))).head
+          val q = SecondPass.coverQuality(left, Seq(run.rightClusters)).head
           (q, StateSize.randomSubgraph(run, st))
         }
       }

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 
 import repro.SparkSpec
-import repro.core.{CoverIndex, LeftAssignment, Metrics, SecondPass}
+import repro.core.{LeftAssignment, Metrics, SecondPass}
 import repro.data.Bipartite
 
 class StaticSofaSpec extends SparkSpec {
@@ -116,7 +116,7 @@ class RandomSubgraphSpec extends SparkSpec {
     val run = RandomSubgraph.rightClusters(denseLeft,
       4, RandomSubgraph.Config(mTilde = 1000000, nTilde = 1000000),
       (rows, nCols, k) => Spectral.dhillon(rows, nCols, k))
-    val q = SecondPass.coverQuality(denseLeft, Seq(new CoverIndex(run.rightClusters))).head
+    val q = SecondPass.coverQuality(denseLeft, Seq(run.rightClusters)).head
     assert(q.relativeHammingGain > 0.1, s"gain=${q.relativeHammingGain}")
     denseLeft.unpersist()
   }
@@ -127,7 +127,7 @@ class RandomSubgraphSpec extends SparkSpec {
     // the near-zero RS gains on sparse datasets in Tables 2–3.
     val run = RandomSubgraph.rightClusters(left, 4, RandomSubgraph.Config(150, 150),
       (rows, nCols, k) => Spectral.dhillon(rows, nCols, k))
-    val q = SecondPass.coverQuality(left, Seq(new CoverIndex(run.rightClusters))).head
+    val q = SecondPass.coverQuality(left, Seq(run.rightClusters)).head
     assert(q.relativeHammingGain >= 0.0 && q.relativeHammingGain < 0.5)
     assert(run.rightClusters.map(_.nnz).max > 12, "clusters should be noise-diluted")
   }

@@ -182,7 +182,7 @@ object GreedyCoverProps extends Properties("GreedyCover") {
       cover: Option[GreedyCover] = None,
   ): Prop = {
     val ref = NaiveCover.coverVertexWithScores(g, cands)
-    val got = cover.getOrElse(new GreedyCover(new CoverIndex(cands))).run(g.idx)
+    val got = cover.getOrElse(new GreedyCover(cands)).run(g)
     val union = got.picks.foldLeft(SparseVec.empty)((y, i) => y.union(cands(i)))
     (got.picks.toSeq == ref.map(_._1).toSeq) :| s"picks ${got.picks.toSeq} vs ${ref.toSeq}" &&
       (got.gains.toSeq == ref.map(_._2).toSeq) :| s"gains ${got.gains.toSeq} vs ${ref.toSeq}" &&
@@ -194,15 +194,15 @@ object GreedyCoverProps extends Properties("GreedyCover") {
 
   property("duplicate candidates: ties go to the lowest index") = forAll(genCase) { case (g, c) =>
     val twice = c ++ c
-    agrees(g, twice) && new GreedyCover(new CoverIndex(twice)).run(g.idx).picks.forall(_ < c.length)
+    agrees(g, twice) && new GreedyCover(twice).run(g).picks.forall(_ < c.length)
   }
 
   property("empty candidate array picks nothing") = forAll(genSet) { g =>
-    agrees(g, Array.empty) && new GreedyCover(new CoverIndex(Array.empty)).run(g.idx).picks.isEmpty
+    agrees(g, Array.empty) && new GreedyCover(Array.empty).run(g).picks.isEmpty
   }
 
   property("empty neighborhood picks nothing") = forAll(genCandidates) { c =>
-    agrees(SparseVec.empty, c) && new GreedyCover(new CoverIndex(c)).run(Array.emptyIntArray).picks.isEmpty
+    agrees(SparseVec.empty, c) && new GreedyCover(c).run(SparseVec.empty).picks.isEmpty
   }
 
   property("neighborhood columns outside every candidate") =
@@ -212,7 +212,7 @@ object GreedyCoverProps extends Properties("GreedyCover") {
 
   property("one instance covers many vertices in turn") =
     forAll(genCandidates, Gen.listOf(genSet)) { (c, gs) =>
-      val cover = Some(new GreedyCover(new CoverIndex(c)))
+      val cover = Some(new GreedyCover(c))
       gs.foldLeft(Prop.passed)((p, g) => p && agrees(g, c, cover))
     }
 }
@@ -425,24 +425,50 @@ object CenterIndexProps extends Properties("CenterIndex") {
         val d = centers(i).asymDistTo(u, alpha)
         if (d < bestD) { bestD = d; best = i }
       }
-      val got = index.nearest(u)
+      val got = index.nearest(u, alpha)
       val gotD = index.nearestDist
       (got == best && java.lang.Double.doubleToRawLongBits(gotD) == java.lang.Double.doubleToRawLongBits(bestD)) :|
         s"query $u: index ($got, $gotD) vs scan ($best, $bestD)"
     }: _*)
 
+  /** Each column's posting list, as [[GreedyCover]] reads it, holds
+    * the ascending indices of the sets containing that column.
+    */
+  private def postingsAgree(index: CenterIndex, sets: Vector[SparseVec]): Prop = {
+    val cols = sets.foldLeft(0)((m, v) => if (v.isEmpty) m else math.max(m, v.idx.last + 1))
+    // Read the lists now: `&&` takes its right side by name, and the
+    // caller changes the index before the property is evaluated.
+    val columns = (0 until index.columns).map { j =>
+      val len = index.postingLength(j)
+      val got = if (len == 0) Seq.empty else index.postingList(j).take(len).toSeq
+      val want = sets.indices.filter(i => sets(i).contains(j))
+      (got == want) :| s"column $j: $got vs $want"
+    }
+    (index.columns >= cols) :| s"columns ${index.columns} < $cols" && Prop.all(columns: _*)
+  }
+
+  property("posting lists hold each column's sets in ascending order, also after clear()") =
+    forAll(genCenters, genCenters) { (before, after) =>
+      val index = new CenterIndex
+      before.foreach(index.add)
+      val first = postingsAgree(index, before)
+      index.clear()
+      after.foreach(index.add)
+      first && postingsAgree(index, after)
+    }
+
   property("nearest equals a linear argmin of asymDistTo") =
     forAll(genCenters, genQueries, genAlpha) { (cs, qs, alpha) =>
-      val index = new CenterIndex(alpha)
+      val index = new CenterIndex
       cs.foreach(index.add)
       agrees(index, cs, qs, alpha)
     }
 
   property("an index reused after clear() equals the scan over its new centers") =
     forAll(genCenters, genCenters, genQueries, genAlpha) { (before, after, qs, alpha) =>
-      val index = new CenterIndex(alpha)
+      val index = new CenterIndex
       before.foreach(index.add)
-      qs.foreach(index.nearest)
+      qs.foreach(index.nearest(_, alpha))
       index.clear()
       after.foreach(index.add)
       agrees(index, after, qs, alpha)

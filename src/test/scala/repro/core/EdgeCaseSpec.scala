@@ -46,11 +46,11 @@ class EdgeCaseSpec extends SparkSpec {
   }
 
   test("coverVertex with empty cluster array returns no picks") {
-    assert(new GreedyCover(new CoverIndex(Array.empty)).run(SparseVec(1, 2).idx).picks.isEmpty)
+    assert(new GreedyCover(Array.empty).run(SparseVec(1, 2)).picks.isEmpty)
   }
 
   test("coverVertex on an isolated vertex returns no picks") {
-    assert(new GreedyCover(new CoverIndex(Array(SparseVec(1)))).run(SparseVec.empty.idx).picks.isEmpty)
+    assert(new GreedyCover(Array(SparseVec(1))).run(SparseVec.empty).picks.isEmpty)
   }
 
   test("assignBicluster ignores empty clusters") {

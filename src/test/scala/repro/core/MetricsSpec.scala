@@ -65,7 +65,7 @@ class MetricsSpec extends SparkSpec {
   test("perfect reconstruction has gain 1 and recall 1") {
     val clusters = Array(SparseVec(0, 1), SparseVec(5, 6))
     val ds = toDs(Seq(SparseVec(0, 1), SparseVec(5, 6)))
-    val assign = SecondPass.coverAssignments(ds, new CoverIndex(clusters))
+    val assign = SecondPass.coverAssignments(ds, clusters)
     val q = Metrics.bmfQuality(ds, assign, clusters)
     assert(q.relativeHammingGain == 1.0)
     assert(q.recall == 1.0)
@@ -102,11 +102,10 @@ class MetricsSpec extends SparkSpec {
     val inst = TestGraphs.planted(k = 2, ell = 10, n = 60, r = 8, p = 0.8, q = 0.02)
     val ds = toDs(inst.vectors).cache()
     val clusters = inst.rightClusters.toArray
-    val ix = new CoverIndex(clusters)
-    val assign = SecondPass.coverAssignments(ds, ix)
+    val assign = SecondPass.coverAssignments(ds, clusters)
     val q = Metrics.bmfQuality(ds, assign, clusters)
     // The one-job quality that production runs must agree too.
-    assert(SecondPass.coverQuality(ds, Seq(ix)).head == q)
+    assert(SecondPass.coverQuality(ds, Seq(clusters)).head == q)
 
     // Rebuild B and B̃ as edge tables and let DuckDB compute tp/|B̃|/|B|.
     val bDf = Bipartite.edgesDf(ds)
@@ -136,11 +135,10 @@ class MetricsSpec extends SparkSpec {
     val inst = TestGraphs.planted(k = 2, ell = 12, n = 50, r = 6, p = 0.9, q = 0.05, seed = 8L)
     val ds = toDs(inst.vectors).cache()
     val clusters = inst.rightClusters.toArray
-    val ix = new CoverIndex(clusters)
-    val assign = SecondPass.coverAssignments(ds, ix)
+    val assign = SecondPass.coverAssignments(ds, clusters)
     val q = Metrics.bmfQuality(ds, assign, clusters)
     // The one-job quality that production runs must agree too.
-    assert(SecondPass.coverQuality(ds, Seq(ix)).head == q)
+    assert(SecondPass.coverQuality(ds, Seq(clusters)).head == q)
     val bDf = Bipartite.edgesDf(ds)
     val bTildeDf = assign
       .flatMap { a =>

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.SparkSpec
@@ -13,7 +14,7 @@ class SecondPassSpec extends SparkSpec {
   }
 
   private def cover(g: SparseVec, clusters: Array[SparseVec]): GreedyCover.Result =
-    new GreedyCover(new CoverIndex(clusters)).run(g.idx)
+    new GreedyCover(clusters).run(g)
 
   // ---- left vertex validation -----------------------------------------
 
@@ -142,9 +143,8 @@ class SecondPassSpec extends SparkSpec {
   test("coverBmf returns assignments for every vertex plus aggregate scores") {
     val clusters = Array(SparseVec(0, 1, 2), SparseVec(10, 11, 12))
     val ds = toDs(Seq(SparseVec(0, 1, 2), SparseVec(10, 11), SparseVec(0, 1, 10, 11)))
-    val ix = new CoverIndex(clusters)
-    val scores = SecondPass.coverScores(ds, Seq(ix)).head
-    val got = SecondPass.coverAssignments(ds, ix).collect().sortBy(_.u)
+    val scores = SecondPass.coverScores(ds, Seq(clusters)).head
+    val got = SecondPass.coverAssignments(ds, clusters).collect().sortBy(_.u)
     assert(got.length == 3)
     assert(got(0).clusters.toSeq == Seq(0))
     assert(got(1).clusters.toSeq == Seq(1))
@@ -157,13 +157,31 @@ class SecondPassSpec extends SparkSpec {
     val inst = TestGraphs.planted(k = 3, ell = 15, n = 120, r = 8, p = 0.9, q = 0.01)
     val ds = toDs(inst.vectors)
     val clusters = inst.rightClusters.toArray
-    val scores = SecondPass.coverScores(ds, Seq(new CoverIndex(clusters))).head
+    val scores = SecondPass.coverScores(ds, Seq(clusters)).head
     val expected = new Array[Long](clusters.length)
     inst.vectors.foreach { v =>
       val r = cover(v, clusters)
       r.picks.zip(r.gains).foreach { case (i, sc) => expected(i) += sc }
     }
     assert(scores.toSeq == expected.toSeq)
+  }
+
+  test("cover jobs reject duplicate or unsorted neighbors, naming the vertex") {
+    import s.implicits._
+    val clusters = Array(SparseVec(3), SparseVec(3, 5))
+    val jobs = Seq[Dataset[LeftVertex] => Any](
+      SecondPass.coverQuality(_, Seq(clusters)),
+      SecondPass.coverScores(_, Seq(clusters)),
+      SecondPass.coverAssignments(_, clusters).collect(),
+    )
+    for (bad <- Seq(LeftVertex(7L, Array(3, 3)), LeftVertex(8L, Array(5, 3))); job <- jobs) {
+      val ds = s.createDataset(Seq(LeftVertex(1L, Array(3, 5)), bad))
+      val e = intercept[SparkException](job(ds))
+      val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .collectFirst { case iae: IllegalArgumentException => iae }
+      assert(cause.exists(_.getMessage.contains(s"left vertex ${bad.u}")),
+        s"no IllegalArgumentException naming the vertex in $e")
+    }
   }
 
   test("topKBmf keeps the k highest-scoring candidates") {
