@@ -64,7 +64,10 @@ object Basso {
   }
 
   /** Fit on the (auto-flipped) matrix. `left` is the original stream,
-    * `nRight` the original number of right vertices.
+    * `nRight` the original number of right vertices. Only the
+    * transposed rows are built here, so only they are cached (they are
+    * the model's `rows` when `flipped`); `left` is read as the caller
+    * left it.
     */
   def fit(
       left: Dataset[LeftVertex],
@@ -73,11 +76,15 @@ object Basso {
   )(implicit spark: SparkSession): Model = {
     val mU = left.count()
     val flip = nRight > mU
-    val rows = if (flip) transpose(left, nRight) else left
     val nCols = if (flip) mU.toInt else nRight
+    requireBudget(nCols, cfg) // before anything is cached
+    val rows = if (flip) transpose(left, nRight).cache() else left
     fitOriented(rows, nCols, cfg, flip)
   }
 
+  /** Fit on `rows` as given. They are read once per greedy round, so a
+    * caller with costly rows caches them; this does not.
+    */
   def fitOriented(
       rows: Dataset[LeftVertex],
       nCols: Int,
@@ -85,19 +92,12 @@ object Basso {
       flipped: Boolean,
   )(implicit spark: SparkSession): Model = {
     import spark.implicits._
-    val cells = nCols.toLong * nCols.toLong
-    if (cells > cfg.maxAssocCells)
-      throw new BassoOutOfMemory(
-        s"dense association matrix needs $cells cells > budget ${cfg.maxAssocCells} " +
-          "(the paper's basso likewise ran out of memory on its largest dataset)")
-
-    val cached = rows.cache()
-
+    val cells = requireBudget(nCols, cfg)
     // Dense association counts, accumulated per partition then summed.
     // Few, fat partitions: each partial is an n² Int array, so keep the
     // partial count low to stay within the driver result-size budget.
     val n = nCols
-    val assoc: Array[Int] = cached
+    val assoc: Array[Int] = rows
       .coalesce(8)
       .mapPartitions { it =>
         val acc = new Array[Int](n * n)
@@ -137,7 +137,7 @@ object Basso {
     var stop = candidates.isEmpty
     while (chosen.length < cfg.kMax && !stop) {
       val bcChosen = spark.sparkContext.broadcast(chosen.map(candidates).toArray)
-      val gains = sumRows(cached, candidates.length) { (g, row) =>
+      val gains = sumRows(rows, candidates.length) { (g, row) =>
         val cand = bcCand.value
         // Replay this row's usage of the already-chosen basis.
         val y = usedCover(row, bcChosen.value)
@@ -154,7 +154,19 @@ object Basso {
       stop = best.isEmpty
     }
     bcCand.destroy()
-    new Model(cached, nCols, chosen.map(candidates).toArray, flipped, cells)
+    new Model(rows, nCols, chosen.map(candidates).toArray, flipped, cells)
+  }
+
+  /** The dense association matrix's cell count, or a
+    * [[BassoOutOfMemory]] when it exceeds the budget.
+    */
+  private def requireBudget(nCols: Int, cfg: Config): Long = {
+    val cells = nCols.toLong * nCols.toLong
+    if (cells > cfg.maxAssocCells)
+      throw new BassoOutOfMemory(
+        s"dense association matrix needs $cells cells > budget ${cfg.maxAssocCells} " +
+          "(the paper's basso likewise ran out of memory on its largest dataset)")
+    cells
   }
 
   /** One Spark job: folds every row into an array of `width` sums with

@@ -42,6 +42,17 @@ final class MisraGries private (
   def entries: Iterator[(Int, Long)] =
     counters.iterator.map { case (k, v) => (k.toInt, v) }
 
+  /** The live items and their counters as two parallel arrays, in
+    * [[entries]] order, without boxing a tuple per counter.
+    */
+  def entryArrays: (Array[Int], Array[Long]) = {
+    val items = new Array[Int](counters.size)
+    val counts = new Array[Long](counters.size)
+    var n = 0
+    counters.foreachEntry { (k, v) => items(n) = k.toInt; counts(n) = v; n += 1 }
+    (items, counts)
+  }
+
   /** The items whose counter is at least `cut`, in no particular order. */
   def itemsAtLeast(cut: Double): Array[Int] = {
     val out = new Array[Int](counters.size)

@@ -59,13 +59,27 @@ object SofaDistributed {
     (rights, SecondPass.assignBicluster(left, rights))
   }
 
-  /** Result of the BMF pipeline for one threshold. */
-  final case class BmfResult(
-      theta: Double,
-      rightClusters: Array[SparseVec],
-      assignments: Dataset[LeftAssignment],
-      quality: Metrics.BmfQuality,
-  )
+  /** Result of the BMF pipeline for one threshold. `assignments` is
+    * built on its first read and then kept: a line search outputs one
+    * θ's factorization, so the others never pay for theirs.
+    */
+  final class BmfResult(
+      val theta: Double,
+      val rightClusters: Array[SparseVec],
+      assign: => Dataset[LeftAssignment],
+      val quality: Metrics.BmfQuality,
+  ) {
+    lazy val assignments: Dataset[LeftAssignment] = assign
+  }
+
+  object BmfResult {
+    def apply(
+        theta: Double,
+        rightClusters: Array[SparseVec],
+        assignments: => Dataset[LeftAssignment],
+        quality: Metrics.BmfQuality,
+    ): BmfResult = new BmfResult(theta, rightClusters, assignments, quality)
+  }
 
   /** Full BMF pipeline (Sections 3.2 + 4.2 + 5.3): first pass, then for
     * every threshold in `thetas` the per-center candidate clusters,
@@ -99,8 +113,8 @@ object SofaDistributed {
     * in two Spark jobs over `left`: one scores every θ's per-center
     * candidates by greedy cover, the driver keeps each θ's top `k`, and
     * one job covers with the kept clusters of every θ and sums TP,
-    * cover size and edges. Each θ's assignments stay a lazy dataset of
-    * the same cover. A θ without candidates keeps no cluster and
+    * cover size and edges. Each θ's assignments are a dataset of the
+    * same cover, built (one broadcast) only when first read. A θ without candidates keeps no cluster and
     * scores `BmfQuality(0, 0, edges)`.
     *
     * @return one result per θ, in the order of `thetas`
@@ -143,7 +157,7 @@ final case class PortableCenter(
 
 object PortableCenter {
   def from(c: Sofa.Center): PortableCenter = {
-    val entries = c.mg.entries.toArray
-    PortableCenter(c.vec.idx, c.weight, entries.map(_._1), entries.map(_._2), c.mg.totalWeight)
+    val (items, counts) = c.mg.entryArrays
+    PortableCenter(c.vec.idx, c.weight, items, counts, c.mg.totalWeight)
   }
 }

@@ -89,7 +89,7 @@ object ThetaHeuristic {
     */
   def selectFromCenters(centers: Seq[Sofa.Center], nRight: Int): Double =
     select(
-      centers.map(c => ClusterCounters(c.mg.entries.map(_._2).toArray, c.weight)),
+      centers.map(c => ClusterCounters(c.mg.entryArrays._2, c.weight)),
       nRight,
     )
 }

@@ -112,7 +112,8 @@ object RealWorldGrid {
           best._2.relativeHammingGain, best._2.recall, avgSec,
           StateSize.basso(best._4, st), ok = true)
       }
-      fits.foreach(_._2.rows.unpersist())
+      // Release the transposed rows Basso cached, never `left` itself.
+      fits.foreach { case (_, model, _) => if (model.rows ne left) model.rows.unpersist() }
     } catch {
       case scala.util.control.NonFatal(e) =>
         // Running out of memory is the paper's expected outcome on its

@@ -103,6 +103,10 @@ class BassoSpec extends SparkSpec {
       Basso.fitOriented(toDs(rows), 100000, Basso.Config(2, 0.6, maxAssocCells = 1000L),
         flipped = false)
     }
+    // Through fit, flipped: 3 rows give 9 cells over a budget of 8.
+    intercept[BassoOutOfMemory] {
+      Basso.fit(toDs(Seq.fill(3)(SparseVec(0, 1))), 20, Basso.Config(2, 0.6, maxAssocCells = 8L))
+    }
   }
 
   test("transpose inverts the bipartite adjacency") {
@@ -170,6 +174,24 @@ class BassoSpec extends SparkSpec {
     import s.implicits._
     val empty = s.createDataset(s.sparkContext.parallelize(Seq.empty[LeftVertex], 2))
     qualityMatchesReference(Basso.fitOriented(empty, 3, Basso.Config(2, 0.8), flipped = false))
+  }
+
+  test("fit and fitOriented leave an uncached, unflipped input uncached") {
+    import org.apache.spark.storage.StorageLevel
+    val rows = toDs(noisyRows)
+    val viaFit = Basso.fit(rows, 24, Basso.Config(3, 0.6))
+    assert(!viaFit.flipped && (viaFit.rows eq rows))
+    assert(rows.storageLevel == StorageLevel.NONE)
+    Basso.fitOriented(rows, 24, Basso.Config(3, 0.6), flipped = false)
+    assert(rows.storageLevel == StorageLevel.NONE)
+  }
+
+  test("fit caches the transposed rows it builds") {
+    import org.apache.spark.storage.StorageLevel
+    val model = Basso.fit(toDs(Seq(SparseVec(0, 1, 2), SparseVec(0, 1, 2), SparseVec(10, 11))), 20,
+      Basso.Config(2, 0.6))
+    assert(model.flipped && model.rows.storageLevel != StorageLevel.NONE)
+    model.rows.unpersist()
   }
 
   test("evaluate computes its quality in one Spark job") {

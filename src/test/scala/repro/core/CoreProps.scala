@@ -85,32 +85,48 @@ object MisraGriesProps extends Properties("MisraGries") {
       xs.foreach(mg.add(_))
       mg.size <= cap
     }
+
+  /** Weighted adds (item 0 often, as `LongMap` keeps key 0 apart),
+    * sometimes merged with a second sketch, sometimes restored from its
+    * entries into the same or a smaller capacity; small capacities, so
+    * many sketches compact and drop counters.
+    */
+  val genSketch: Gen[MisraGries] = {
+    val genAdds = Gen.listOf(Gen.zip(
+      Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(0, 60)), Gen.choose(1L, 20L)))
+    def build(cap: Int, adds: List[(Int, Long)]) = {
+      val mg = MisraGries(cap)
+      adds.foreach { case (j, w) => mg.add(j, w) }
+      mg
+    }
+    for {
+      cap <- Gen.choose(1, 12)
+      xs <- genAdds
+      ys <- Gen.option(genAdds)
+      restoreCap <- Gen.option(Gen.choose(1, cap))
+    } yield {
+      val mg = build(cap, xs)
+      ys.foreach(adds => mg.merge(build(cap, adds)))
+      restoreCap.fold(mg) { c =>
+        val es = mg.entries.toArray
+        MisraGries.restore(c, es.map(_._1), es.map(_._2), mg.totalWeight)
+      }
+    }
+  }
+
+  property("entryArrays equals entries, in the same order") =
+    forAll(genSketch) { mg =>
+      val (items, counts) = mg.entryArrays
+      val es = mg.entries.toArray
+      Prop.classify(mg.estimate(0) > 0, "holds item 0")(
+        Prop.classify(es.map(_._2).sum < mg.totalWeight, "compacted")(
+          items.sameElements(es.map(_._1)) && counts.sameElements(es.map(_._2))))
+    }
 }
 
 /** `Sofa.threshold` against the tuple-and-sort expression it replaced. */
 object SofaThresholdProps extends Properties("Sofa.threshold") {
   import Prop.propBoolean
-
-  /** Weighted adds, sometimes merged with a second sketch; small
-    * capacities, so many sketches compact.
-    */
-  private val genSketch: Gen[MisraGries] = {
-    val genAdds = Gen.listOf(Gen.zip(Gen.choose(0, 60), Gen.choose(1L, 20L)))
-    for {
-      cap <- Gen.choose(1, 12)
-      xs <- genAdds
-      ys <- Gen.option(genAdds)
-    } yield {
-      val mg = MisraGries(cap)
-      xs.foreach { case (j, w) => mg.add(j, w) }
-      ys.foreach { adds =>
-        val other = MisraGries(cap)
-        adds.foreach { case (j, w) => other.add(j, w) }
-        mg.merge(other)
-      }
-      mg
-    }
-  }
 
   /** (θ, W): θ = 0, θ > 1, cuts exactly on a counter value (W = 1, or
     * W a power of two with θ = c / W), and arbitrary ones.
@@ -132,7 +148,7 @@ object SofaThresholdProps extends Properties("Sofa.threshold") {
   }
 
   property("threshold equals the filtered entries, sorted") =
-    forAll(genSketch.flatMap(mg => genCut(mg).map(c => (mg, c)))) { case (mg, (theta, w)) =>
+    forAll(MisraGriesProps.genSketch.flatMap(mg => genCut(mg).map(c => (mg, c)))) { case (mg, (theta, w)) =>
       val cut = theta * w
       val want = SparseVec.fromArray(mg.entries.collect { case (j, c) if c >= cut => j }.toArray)
       val got = Sofa.threshold(mg, theta, w)
@@ -364,6 +380,23 @@ object ThetaHeuristicProps extends Properties("ThetaHeuristic") {
         math.floor(t * w).toLong, math.ceil(t * w).toLong, math.ceil(t * w).toLong + 1)),
     ))
   } yield ClusterCounters(counters.toArray, w)
+
+  /** First-pass centers: sketches of every shape, weights equal to the
+    * sketch's offered weight or arbitrary (zero included).
+    */
+  private val genCenter: Gen[Sofa.Center] = for {
+    mg <- MisraGriesProps.genSketch
+    w <- Gen.frequency(3 -> Gen.const(mg.totalWeight), 1 -> Gen.choose(0L, 400L))
+  } yield new Sofa.Center(SparseVec.empty, w, mg)
+
+  property("selectFromCenters equals select over entries-built counters") =
+    forAll(Gen.nonEmptyListOf(genCenter), Gen.choose(1, 200)) { (cs, nRight) =>
+      def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+      val got = ThetaHeuristic.selectFromCenters(cs, nRight)
+      val ref = ThetaHeuristic.select(
+        cs.map(c => ClusterCounters(c.mg.entries.map(_._2).toArray, c.weight)), nRight)
+      (bits(got) == bits(ref)) :| s"θ $got vs $ref"
+    }
 
   property("likelihoods and θ equal the per-counter-log reference") = forAll(genGrids) { case (ps, qs) =>
     val pairs = for (p <- ps; q <- qs if q < p) yield (p, q)

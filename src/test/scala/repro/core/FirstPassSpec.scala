@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.SparkException
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.{JobCount, SparkSpec}
+import repro.{BroadcastCount, JobCount, SparkSpec}
 import repro.data.Bipartite
 
 /** `SofaDistributed.firstPass` against its definition: per-partition
@@ -85,6 +85,18 @@ class FirstPassSpec extends SparkSpec {
     val (res, jobs) = JobCount(s)(SofaDistributed.bmfFromCenters(left, centers, cfg.k, Seq(0.3, 0.5, 0.7)))
     assert(res.length == 3)
     assert(jobs == 2)
+  }
+
+  test("bmfFromCenters makes two broadcasts; a read assignment makes one more, once") {
+    val left = split(rows.toSeq, 4)
+    val centers = SofaDistributed.firstPass(left, cfg)
+    val (res, made) = BroadcastCount(s)(SofaDistributed.bmfFromCenters(left, centers, cfg.k, Seq(0.3, 0.5, 0.7)))
+    assert(res.length == 3)
+    assert(made == 2)
+    val (first, read) = BroadcastCount(s)(res(1).assignments)
+    assert(read == 1)
+    val (second, again) = BroadcastCount(s)(res(1).assignments)
+    assert(again == 0 && (second eq first))
   }
 
   test("bmfAutoPipeline runs three Spark jobs") {
