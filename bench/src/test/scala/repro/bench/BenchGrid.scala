@@ -27,6 +27,7 @@ object BenchGrid {
     val out = RealWorldGrid.run(config)
     Console.err.println(f"[BenchGrid] grid completed in ${(System.nanoTime() - t0) / 1e9}%.1f s, " +
       s"${out.size} cells")
+    out.foreach(c => c.error.foreach(e => Console.err.println(s"[BenchGrid] ${c.dataset} k=${c.k} ${c.algo} failed: $e")))
     out
   }
 }

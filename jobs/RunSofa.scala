@@ -29,7 +29,7 @@ object RunSofa {
       val centers = SofaDistributed.firstPass(left, cfg)
       println(s"first pass: ${centers.length} centers (cMax ${cfg.cMax}), " +
         s"total weight ${centers.map(_.weight).sum}")
-      SofaDistributed.bmfFromCenters(left, centers, k, RealWorldGrid.Config().thetas).foreach { r =>
+      SofaDistributed.bmfFromCenters(left, centers, k, RealWorldGrid.Thetas).foreach { r =>
         val q = r.quality
         if (r.rightClusters.isEmpty) println(f"theta=${r.theta}%.1f: no candidate clusters")
         else println(f"theta=${r.theta}%.1f: clusters=${r.rightClusters.length} " +

@@ -34,6 +34,7 @@ object RunTables {
       }
 
       val cells = RealWorldGrid.run(RealWorldGrid.Config(datasets = datasets, ks = ks))
+      cells.foreach(c => c.error.foreach(e => println(s"failed: ${c.dataset} k=${c.k} ${c.algo}: $e")))
       println(Tables.render("Table 2: relative Hamming gain", cells, Tables.PaperGain, _.gain))
       println(Tables.render("Table 3: recall", cells, Tables.PaperRecall, _.recall))
       println(Tables.render("Table 4: run-time (paper: CPU min, measured: s)",

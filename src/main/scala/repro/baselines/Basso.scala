@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.core.{LeftAssignment, LeftVertex, Metrics, PartitionJob, SecondPass, SparseVec}
+import repro.core.{GreedyCover, LeftAssignment, LeftVertex, Metrics, SecondPass, SparseVec}
 
 /** Signals that the dense association matrix would not fit the memory
   * budget — reproduces the paper's basso out-of-memory on Wiki.
@@ -17,9 +17,10 @@ final class BassoOutOfMemory(msg: String) extends RuntimeException(msg)
   *    per-partition dense accumulation + array reduce).
   * 2. Candidate basis vectors: `B_i = { j : assoc(i,j) ≥ τ·n_i }`.
   * 3. Greedily pick `k` basis vectors maximizing the cover gain
-  *    `Σ_rows max(0, score(B | Γ(u), Y_u))` (the same score as
-  *    Section 4.2), with each row's covered set `Y_u` replayed from
-  *    the previously chosen basis in order.
+  *    `Σ_rows max(0, score(B | Γ(u), Y_u))` (the score of Section 4.2,
+  *    read from sofa's [[GreedyCover]] counters), with each row's
+  *    covered set `Y_u` replayed from the previously chosen basis in
+  *    order.
   *
   * The matrix is flipped so the *smaller* side provides the columns
   * (the paper flips when |U| > |V| for the same reason: the quadratic
@@ -45,21 +46,25 @@ object Basso {
       val flipped: Boolean,
       val assocCells: Long,
   ) {
-    /** Evaluate the first `kPrefix` basis vectors: per-row usage (Asso
-      * rule: use basis t if its score is positive given the cover so
-      * far, in chosen order), lazily, and reconstruction quality, in
-      * one job that applies the same rule.
+    /** Evaluate the first `kPrefix` basis vectors: per-row usage (the Asso
+      * rule of `use`), lazily, and reconstruction quality, in one job
+      * that applies the same rule to one [[GreedyCover]] of the prefix.
       */
     def evaluate(kPrefix: Int)(implicit spark: SparkSession): (Array[SparseVec], Dataset[LeftAssignment], Metrics.BmfQuality) = {
       import spark.implicits._
-      val use = basis.take(kPrefix)
-      val bc = spark.sparkContext.broadcast(use)
-      val assign = rows.map(lv => LeftAssignment(lv.u, usageInOrder(lv.vec, bc.value)))
-      val q = sumRows(rows, 3) { (acc, g) =>
-        val cover = usedCover(g, bc.value)
-        acc(0) += g.intersectSize(cover); acc(1) += cover.nnz; acc(2) += g.nnz
+      val prefix = basis.take(kPrefix)
+      val order = prefix.indices.toArray
+      val bc = spark.sparkContext.broadcast(Array(prefix))
+      val assign = rows.mapPartitions { it =>
+        val cover = new GreedyCover(bc.value.head)
+        it.map { lv => use(cover, lv.vec, order); LeftAssignment(lv.u, cover.result.picks) }
       }
-      (use, assign, Metrics.BmfQuality(q(0), q(1), q(2)))
+      val q = SecondPass.sumCovers(rows, bc, _ => 3) { (acc, cover, g) =>
+        use(cover, g, order)
+        val r = cover.result
+        acc(0) += r.truePositives; acc(1) += r.coverSize; acc(2) += g.nnz
+      }.head
+      (prefix, assign, Metrics.BmfQuality(q(0), q(1), q(2)))
     }
   }
 
@@ -130,25 +135,19 @@ object Basso {
       }
     }.toArray
 
-    // Greedy basis selection: each round picks the unused candidate with
-    // the largest positive gain, the lowest index on ties.
+    // Greedy basis selection: each round replays every row's usage of
+    // the chosen candidates on one cover of all candidates, sums each
+    // candidate's positive gains and picks the unused candidate with the
+    // largest sum, the lowest index on ties.
     val chosen = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val bcCand = spark.sparkContext.broadcast(candidates)
+    val bcCand = spark.sparkContext.broadcast(Array(candidates))
     var stop = candidates.isEmpty
     while (chosen.length < cfg.kMax && !stop) {
-      val bcChosen = spark.sparkContext.broadcast(chosen.map(candidates).toArray)
-      val gains = sumRows(rows, candidates.length) { (g, row) =>
-        val cand = bcCand.value
-        // Replay this row's usage of the already-chosen basis.
-        val y = usedCover(row, bcChosen.value)
-        var c = 0
-        while (c < cand.length) {
-          val s = SecondPass.score(cand(c), row, y)
-          if (s > 0) g(c) += s
-          c += 1
-        }
-      }
-      bcChosen.destroy()
+      val order = chosen.toArray
+      val gains = SecondPass.sumCovers(rows, bcCand, _.length) { (acc, cover, g) =>
+        use(cover, g, order)
+        cover.foreachGain((c, s) => acc(c) += s)
+      }.head
       val best = gains.indices.filterNot(chosen.contains).maxByOption(gains(_)).filter(gains(_) > 0)
       best.foreach(chosen += _)
       stop = best.isEmpty
@@ -169,36 +168,14 @@ object Basso {
     cells
   }
 
-  /** One Spark job: folds every row into an array of `width` sums with
-    * `add`; the partitions' arrays are summed on the driver.
+  /** Asso usage rule on `cover`: start covering `g`, then walk `order`
+    * (indices of the cover's clusters, in chosen order) and take each
+    * one whose score is positive given the cover built so far.
     */
-  private def sumRows(rows: Dataset[LeftVertex], width: Int)(
-      add: (Array[Long], SparseVec) => Unit): Array[Long] =
-    PartitionJob.run(rows.rdd) { it =>
-      val acc = new Array[Long](width)
-      it.foreach(lv => add(acc, lv.vec))
-      acc
-    }.foldLeft(new Array[Long](width)) { (x, y) => x.indices.foreach(i => x(i) += y(i)); x }
-
-  /** The union of the basis vectors the Asso rule uses for row `g`. */
-  private def usedCover(g: SparseVec, basis: Array[SparseVec]): SparseVec =
-    usageInOrder(g, basis).foldLeft(SparseVec.empty)((y, t) => y.union(basis(t)))
-
-  /** Asso usage rule: walk the basis in chosen order, use a vector iff
-    * its score is positive given the cover built so far.
-    */
-  def usageInOrder(g: SparseVec, basis: Array[SparseVec]): Array[Int] = {
-    val picked = scala.collection.mutable.ArrayBuffer.empty[Int]
-    var y = SparseVec.empty
+  private[baselines] def use(cover: GreedyCover, g: SparseVec, order: Array[Int]): Unit = {
+    cover.start(g)
     var t = 0
-    while (t < basis.length) {
-      if (SecondPass.score(basis(t), g, y) > 0) {
-        picked += t
-        y = y.union(basis(t))
-      }
-      t += 1
-    }
-    picked.toArray
+    while (t < order.length) { if (cover.gain(order(t)) > 0) cover.take(order(t)); t += 1 }
   }
 
   /** Transpose the bipartite stream: rows become right vertices with

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 
 import repro.core.{LeftVertex, SparseVec}
 
@@ -36,7 +36,7 @@ object RandomSubgraph {
       k: Int,
       cfg: Config,
       algo: StaticAlgo,
-  )(implicit spark: SparkSession): Run = {
+  ): Run = {
     // Reservoir-style uniform sample of left vertices.
     val sample: Array[LeftVertex] =
       left.rdd.takeSample(withReplacement = false, num = cfg.mTilde, seed = cfg.seed)

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 
 /** A left-side vertex of the bipartite graph as it appears on the
@@ -35,16 +36,17 @@ final case class LeftAssignment(u: Long, clusters: Array[Int])
 
 /** The greedy cover of Section 4.2 over the right clusters `clusters`,
   * read through their [[CenterIndex]], with scratch state reused
-  * across vertices (one instance per task).
+  * across vertices (one instance per task). It is the one place that
+  * computes the cover score; sofa's second pass and basso drive it.
   *
   * It keeps, per cluster `A`, `covered = |A ∩ Γ(u) ∖ Y|` and
   * `over = |A ∖ (Γ(u) ∪ Y)|`, so `score(A | Γ(u), Y) = covered − over`.
   * Only clusters sharing a column with `Γ(u)` can ever score above 0,
-  * and when a pick adds columns to `Y` only the clusters listed under
-  * those columns change. Picks, their order and their scores equal the
-  * naive rescan of every cluster in every round: the highest score
-  * wins, ties go to the lowest index, the loop stops when no score is
-  * positive or after `clusters.length` rounds.
+  * and when [[take]] adds columns to `Y` only the clusters listed under
+  * those columns change. [[run]]'s picks, their order and their scores
+  * equal the naive rescan of every cluster in every round: the highest
+  * score wins, ties go to the lowest index, the loop stops when no
+  * score is positive or after `clusters.length` rounds.
   */
 final class GreedyCover(clusters: Array[SparseVec]) {
   private val index = new CenterIndex
@@ -61,16 +63,20 @@ final class GreedyCover(clusters: Array[SparseVec]) {
   // Marks in `seen`, `inG` and `inY` count for the current vertex only
   // when they equal `epoch`, so nothing is cleared between vertices.
   private var epoch = 0
+  private var nActive = 0
+  private var nPicks = 0
+  private var tp = 0
+  private var coverSize = 0
 
-  /** Greedily cover the neighborhood `g`. */
-  def run(g: SparseVec): GreedyCover.Result = {
+  /** Start covering the neighborhood `g` with `Y = ∅`. */
+  def start(g: SparseVec): Unit = {
     if (epoch == Int.MaxValue) {
       java.util.Arrays.fill(seen, 0); java.util.Arrays.fill(inG, 0); java.util.Arrays.fill(inY, 0)
       epoch = 0
     }
     epoch += 1
+    nActive = 0; nPicks = 0; tp = 0; coverSize = 0
     val gIdx = g.idx
-    var nActive = 0
     var a = 0
     while (a < gIdx.length) {
       val j = gIdx(a)
@@ -89,14 +95,56 @@ final class GreedyCover(clusters: Array[SparseVec]) {
     }
     var q = 0
     while (q < nActive) { val i = active(q); over(i) = clusters(i).nnz - covered(i); q += 1 }
+  }
 
-    var nPicks = 0
-    var tp = 0
-    var coverSize = 0
+  /** `max(0, score(A_i | Γ(u), Y))`. */
+  def gain(i: Int): Int = if (seen(i) == epoch) math.max(0, covered(i) - over(i)) else 0
+
+  /** Calls `f(i, gain(i))` for every cluster `i` whose gain is positive. */
+  def foreachGain(f: (Int, Int) => Unit): Unit = {
+    var q = 0
+    while (q < nActive) {
+      val i = active(q)
+      if (covered(i) > over(i)) f(i, covered(i) - over(i))
+      q += 1
+    }
+  }
+
+  /** Add cluster `i` to `Y`, recording it as a pick with its current gain. */
+  def take(i: Int): Unit = {
+    picks(nPicks) = i; gains(nPicks) = gain(i); nPicks += 1
+    val cols = clusters(i).idx
+    var c = 0
+    while (c < cols.length) {
+      val j = cols(c)
+      if (inY(j) != epoch) {
+        inY(j) = epoch
+        coverSize += 1
+        val hit = inG(j) == epoch
+        if (hit) tp += 1
+        val list = index.postingList(j)
+        var p = 0
+        while (p < index.postingLength(j)) {
+          val k = list(p)
+          if (seen(k) == epoch) { if (hit) covered(k) -= 1 else over(k) -= 1 }
+          p += 1
+        }
+      }
+      c += 1
+    }
+  }
+
+  /** The picks since [[start]], each with its gain when taken, and TP and `|Y|`. */
+  def result: GreedyCover.Result =
+    GreedyCover.Result(java.util.Arrays.copyOf(picks, nPicks), java.util.Arrays.copyOf(gains, nPicks), tp, coverSize)
+
+  /** Greedily cover the neighborhood `g`. */
+  def run(g: SparseVec): GreedyCover.Result = {
+    start(g)
     var continue = true
     while (continue && nPicks < size) {
       var best = -1; var bestScore = 0
-      q = 0
+      var q = 0
       while (q < nActive) {
         val i = active(q)
         if (covered(i) == 0) {
@@ -108,32 +156,9 @@ final class GreedyCover(clusters: Array[SparseVec]) {
           q += 1
         }
       }
-      if (best < 0) continue = false
-      else {
-        picks(nPicks) = best; gains(nPicks) = bestScore; nPicks += 1
-        val cols = clusters(best).idx
-        var c = 0
-        while (c < cols.length) {
-          val j = cols(c)
-          if (inY(j) != epoch) {
-            inY(j) = epoch
-            coverSize += 1
-            val hit = inG(j) == epoch
-            if (hit) tp += 1
-            val list = index.postingList(j)
-            var p = 0
-            while (p < index.postingLength(j)) {
-              val i = list(p)
-              if (seen(i) == epoch) { if (hit) covered(i) -= 1 else over(i) -= 1 }
-              p += 1
-            }
-          }
-          c += 1
-        }
-      }
+      if (best < 0) continue = false else take(best)
     }
-    GreedyCover.Result(
-      java.util.Arrays.copyOf(picks, nPicks), java.util.Arrays.copyOf(gains, nPicks), tp, coverSize)
+    result
   }
 }
 
@@ -151,25 +176,6 @@ object GreedyCover {
   * parallel Spark map with the right clusters broadcast.
   */
 object SecondPass {
-
-  /** The covering score of Section 4.2:
-    * `score(A | X, Y) = |(X∖Y) ∩ A| − |A ∖ (X∪Y)|` — newly covered
-    * elements minus fresh overcover.
-    */
-  def score(a: SparseVec, x: SparseVec, y: SparseVec): Int = {
-    var covered = 0
-    var over = 0
-    var i = 0
-    while (i < a.idx.length) {
-      val j = a.idx(i)
-      val inX = x.contains(j)
-      val inY = y.contains(j)
-      if (inX && !inY) covered += 1
-      else if (!inX && !inY) over += 1
-      i += 1
-    }
-    covered - over
-  }
 
   /** Section 4.1 (biclustering): assign every vertex `u` to the single
     * cluster maximizing `|Γ(u) ∩ Ṽ_i| / |Ṽ_i|` (Eq. 2). Empty clusters
@@ -204,7 +210,8 @@ object SecondPass {
       left: Dataset[LeftVertex],
       sets: Seq[Array[SparseVec]],
   )(implicit spark: SparkSession): Array[Array[Long]] =
-    sumCovers(left, sets, _.length) { (acc, r, _) =>
+    sumCovers(left, spark.sparkContext.broadcast(sets.toArray), _.length) { (acc, cover, g) =>
+      val r = cover.run(g)
       var p = 0
       while (p < r.picks.length) { acc(r.picks(p)) += r.gains(p); p += 1 }
     }
@@ -216,36 +223,36 @@ object SecondPass {
       left: Dataset[LeftVertex],
       sets: Seq[Array[SparseVec]],
   )(implicit spark: SparkSession): Seq[Metrics.BmfQuality] =
-    sumCovers(left, sets, _ => 3) { (acc, r, g) =>
+    sumCovers(left, spark.sparkContext.broadcast(sets.toArray), _ => 3) { (acc, cover, g) =>
+      val r = cover.run(g)
       acc(0) += r.truePositives; acc(1) += r.coverSize; acc(2) += g.nnz
     }.map(a => Metrics.BmfQuality(a(0), a(1), a(2))).toSeq
 
-  /** Covers every vertex `lv.vec` (so malformed rows are rejected)
-    * with every set in one pass, folding each cover into that set's
-    * array of `width(set)` sums with `add`; the partitions' arrays are
-    * summed on the driver.
+  /** The one cover fold, one Spark job: every task builds a
+    * [[GreedyCover]] per broadcast set and hands it, with every vertex
+    * `lv.vec` (so malformed rows are rejected), to `add`, which covers
+    * the vertex and folds the cover into that set's array of
+    * `width(set)` sums. The partitions' arrays are summed on the driver.
     */
-  private def sumCovers(
+  private[repro] def sumCovers(
       left: Dataset[LeftVertex],
-      sets: Seq[Array[SparseVec]],
+      bc: Broadcast[Array[Array[SparseVec]]],
       width: Array[SparseVec] => Int,
-  )(add: (Array[Long], GreedyCover.Result, SparseVec) => Unit)(
-      implicit spark: SparkSession): Array[Array[Long]] = {
-    val bc = spark.sparkContext.broadcast(sets.toArray)
+  )(add: (Array[Long], GreedyCover, SparseVec) => Unit): Array[Array[Long]] =
     PartitionJob.run(left.rdd) { it =>
-      val covers = bc.value.map(new GreedyCover(_))
-      val acc = bc.value.map(c => new Array[Long](width(c)))
+      val sets = bc.value
+      val covers = sets.map(new GreedyCover(_))
+      val acc = sets.map(c => new Array[Long](width(c)))
       it.foreach { lv =>
         val g = lv.vec
         var t = 0
-        while (t < covers.length) { add(acc(t), covers(t).run(g), g); t += 1 }
+        while (t < covers.length) { add(acc(t), covers(t), g); t += 1 }
       }
       acc
-    }.foldLeft(sets.map(c => new Array[Long](width(c))).toArray) { (x, y) =>
+    }.foldLeft(bc.value.map(c => new Array[Long](width(c)))) { (x, y) =>
       x.indices.foreach(t => x(t).indices.foreach(i => x(t)(i) += y(t)(i)))
       x
     }
-  }
 
   /** Lazily assign every vertex to the clusters of its greedy cover. */
   def coverAssignments(

@@ -28,7 +28,7 @@ object SofaDistributed {
   def firstPass(
       left: Dataset[LeftVertex],
       cfg: Sofa.Config,
-  )(implicit spark: SparkSession): IndexedSeq[Sofa.Center] = {
+  ): IndexedSeq[Sofa.Center] = {
     val partCenters: Array[Array[PortableCenter]] = PartitionJob.run(left.rdd) { it =>
       Sofa.cluster(it.map(lv => Sofa.freshItem(checkedVec(lv, cfg.nRight), cfg)), cfg)
         .iterator.map(PortableCenter.from).toArray

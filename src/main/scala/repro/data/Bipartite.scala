@@ -21,10 +21,16 @@ import repro.core.{LeftVertex, SparseVec}
   *    average left degree with a heavy right tail.
   *
   * All draws are deterministic in `(params, seed)`: every left vertex
-  * seeds its own SplitMix64 from `(seed, u)`, so the output is
-  * independent of partitioning.
+  * seeds its own SplitMix64 from `(seed, u)`, so the rows are
+  * independent of partitioning. The rows come in [[Slices]] partitions
+  * on every Spark master, because sofa's first pass depends on them.
   */
 object Bipartite {
+
+  /** The generators' partition count: what Spark's default gives on the
+    * 4-core hosts that recorded every table and benchmark value.
+    */
+  val Slices: Int = 4
 
   /** Ground truth of a planted instance. */
   final case class Planted(
@@ -56,7 +62,7 @@ object Bipartite {
       Array.fill(pp.k)(distinctDraws(rng, pp.r, pp.n))
     val bc = spark.sparkContext.broadcast(rights)
     val (k, ell, n, p, q, seed) = (pp.k, pp.ell, pp.n, pp.p, pp.q, pp.seed)
-    val left = spark.range(pp.m).as[Long].map { u =>
+    val left = spark.range(0, pp.m, 1, Slices).as[Long].map { u =>
       val g = new SplitMix64(seed ^ (u * 0x9E3779B97F4A7C15L))
       val cluster = (u / ell).toInt
       val mine = bc.value(cluster)
@@ -72,7 +78,7 @@ object Bipartite {
       }
       LeftVertex(u, nbrs.distinct.sorted.toArray)
     }
-    val truth = spark.range(pp.m).as[Long].map(u => (u, (u / ell).toInt))
+    val truth = spark.range(0, pp.m, 1, Slices).as[Long].map(u => (u, (u / ell).toInt))
     Planted(left, truth, rights.map(SparseVec.fromArray), pp.n)
   }
 
@@ -141,7 +147,7 @@ object Bipartite {
       Array.fill(s.blocks)(distinctDraws(rng, math.min(s.blockSize, n), n))
     val bc = spark.sparkContext.broadcast(rights)
     val spec = s
-    val left = spark.range(s.mU.toLong).as[Long].map { u =>
+    val left = spark.range(0, s.mU.toLong, 1, Slices).as[Long].map { u =>
       val g = new SplitMix64(spec.seed ^ (u * 0x9E3779B97F4A7C15L))
       val nbrs = scala.collection.mutable.ArrayBuffer.empty[Int]
       // Overlapping block memberships.

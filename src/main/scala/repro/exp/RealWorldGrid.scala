@@ -1,8 +1,8 @@
 package repro.exp
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 
-import repro.baselines.{Basso, BassoOutOfMemory, RandomSubgraph, Spectral}
+import repro.baselines.{Basso, RandomSubgraph, Spectral}
 import repro.core._
 import repro.data.Bipartite
 
@@ -30,17 +30,20 @@ object RealWorldGrid {
       recall: Double,
       seconds: Double,
       stateMB: Double,
-      ok: Boolean,
-  )
+      error: Option[String],
+  ) {
+    def ok: Boolean = error.isEmpty
+  }
 
   final case class Config(
       datasets: Seq[String] = Seq("20News", "Reuters", "Book", "Movie", "Flickr", "Wiki"),
       ks: Seq[Int] = Seq(10, 20, 40),
-      thetas: Seq[Double] = Seq(0.3, 0.4, 0.5, 0.6, 0.7),
-      taus: Seq[Double] = Seq(0.4, 0.6),
-      rsSample: Int = 300,
-      maxAssocCells: Long = 100_000_000L,
   )
+
+  // sofa's θ line search, basso's τ line search, RS's m̃ = ñ (see above).
+  val Thetas: Seq[Double] = Seq(0.3, 0.4, 0.5, 0.6, 0.7)
+  val Taus: Seq[Double] = Seq(0.4, 0.6)
+  val RsSample: Int = 300
 
   val Algos: Seq[String] = Seq("sofa-auto", "sofa", "basso", "RSdhillon", "RSzhaEtAl")
 
@@ -49,7 +52,6 @@ object RealWorldGrid {
   }
 
   def runDataset(name: String, cfg: Config)(implicit spark: SparkSession): Seq[Cell] = {
-    import spark.implicits._
     val planted = Bipartite.surrogate(spark, name)
     val left = planted.left.cache()
     left.count() // materialize before timing anything
@@ -63,7 +65,7 @@ object RealWorldGrid {
       // sofa (full line search over thetas)
       cells += timed(name, k, "sofa") { () =>
         val centers = SofaDistributed.firstPass(left, sofaCfg)
-        val best = SofaDistributed.bmfFromCenters(left, centers, k, cfg.thetas)
+        val best = SofaDistributed.bmfFromCenters(left, centers, k, Thetas)
           .map(_.quality).maxBy(_.relativeHammingGain)
         (best, StateSize.sofa(centers))
       }
@@ -77,7 +79,7 @@ object RealWorldGrid {
       }
 
       // RSdhillon / RSzhaEtAl
-      val rsCfg = RandomSubgraph.Config(cfg.rsSample, cfg.rsSample)
+      val rsCfg = RandomSubgraph.Config(RsSample, RsSample)
       Seq(
         "RSdhillon" -> (Spectral.dhillon(_: Array[SparseVec], _: Int, _: Int)),
         "RSzhaEtAl" -> (Spectral.zha(_: Array[SparseVec], _: Int, _: Int)),
@@ -93,9 +95,9 @@ object RealWorldGrid {
     // ---------------- basso (fit once per τ, evaluate prefixes) -----
     val kMax = cfg.ks.max
     try {
-      val fits = cfg.taus.map { tau =>
+      val fits = Taus.map { tau =>
         val t0 = System.nanoTime()
-        val model = Basso.fit(left, planted.nRight, Basso.Config(kMax, tau, cfg.maxAssocCells))
+        val model = Basso.fit(left, planted.nRight, Basso.Config(kMax, tau))
         val sec = (System.nanoTime() - t0) / 1e9
         (tau, model, sec)
       }
@@ -110,19 +112,17 @@ object RealWorldGrid {
         val avgSec = evals.map(_._3).sum / evals.length
         cells += Cell(name, k, "basso",
           best._2.relativeHammingGain, best._2.recall, avgSec,
-          StateSize.basso(best._4, st), ok = true)
+          StateSize.basso(best._4, st), error = None)
       }
       // Release the transposed rows Basso cached, never `left` itself.
       fits.foreach { case (_, model, _) => if (model.rows ne left) model.rows.unpersist() }
     } catch {
       case scala.util.control.NonFatal(e) =>
         // Running out of memory is the paper's expected outcome on its
-        // largest dataset; any other failure is reported.
-        if (!e.isInstanceOf[BassoOutOfMemory])
-          Console.err.println(s"[RealWorldGrid] $name basso failed: $e")
+        // largest dataset; it is a failed cell like any other failure.
         cfg.ks.foreach { k =>
           cells += Cell(name, k, "basso", Double.NaN, Double.NaN, Double.NaN,
-            Double.NaN, ok = false)
+            Double.NaN, error = Some(e.toString))
         }
     }
 
@@ -136,13 +136,12 @@ object RealWorldGrid {
     try {
       val (q, stateMB) = body()
       val sec = (System.nanoTime() - t0) / 1e9
-      Cell(dataset, k, algo, q.relativeHammingGain, q.recall, sec, stateMB, ok = true)
+      Cell(dataset, k, algo, q.relativeHammingGain, q.recall, sec, stateMB, error = None)
     } catch {
       case scala.util.control.NonFatal(e) =>
         // One broken cell must not sink a multi-hour grid; the bench
         // suites assert on `ok` and will fail loudly with context.
-        Console.err.println(s"[RealWorldGrid] $dataset k=$k $algo failed: $e")
-        Cell(dataset, k, algo, Double.NaN, Double.NaN, Double.NaN, Double.NaN, ok = false)
+        Cell(dataset, k, algo, Double.NaN, Double.NaN, Double.NaN, Double.NaN, error = Some(e.toString))
     }
   }
 }

@@ -1,6 +1,6 @@
 package repro.stream
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
 
 import repro.core.{LeftVertex, Sofa, SofaDistributed, SparseVec}
@@ -25,7 +25,7 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
   def verticesSeen: Long = seen
 
   /** Fold one micro-batch into the state. */
-  def update(batch: Dataset[LeftVertex])(implicit spark: SparkSession): Unit = {
+  def update(batch: Dataset[LeftVertex]): Unit = {
     val batchCenters = SofaDistributed.firstPass(batch, cfg)
     if (batchCenters.isEmpty) return
     seen += batchCenters.map(_.weight).sum
@@ -36,7 +36,7 @@ final class SofaStreamState(val cfg: Sofa.Config) extends Serializable {
     * above the last one folded in is a replay (Structured Streaming
     * re-runs a batch after a failure) and is skipped.
     */
-  def update(batch: Dataset[LeftVertex], batchId: Long)(implicit spark: SparkSession): Unit =
+  def update(batch: Dataset[LeftVertex], batchId: Long): Unit =
     if (batchId > lastBatch) {
       update(batch)
       lastBatch = batchId
@@ -60,13 +60,13 @@ object SofaStream {
       stream: Dataset[LeftVertex],
       state: SofaStreamState,
       queryName: String = "sofa-stream",
-  )(implicit spark: SparkSession): StreamingQuery =
+  ): StreamingQuery =
     stream.writeStream
       .queryName(queryName)
       .outputMode("append")
       .trigger(Trigger.ProcessingTime(0L))
       .foreachBatch { (batch: Dataset[LeftVertex], batchId: Long) =>
-        state.update(batch, batchId)(batch.sparkSession)
+        state.update(batch, batchId)
       }
       .start()
 }

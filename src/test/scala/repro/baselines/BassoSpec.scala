@@ -2,8 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.{JobCount, SparkSpec}
-import repro.core.{LeftVertex, Metrics, SparseVec}
+import repro.{BroadcastCount, JobCount, SparkSpec}
+import repro.core.{GreedyCover, LeftVertex, Metrics, SparseVec}
 
 class BassoSpec extends SparkSpec {
   implicit lazy val s: SparkSession = spark
@@ -76,9 +76,14 @@ class BassoSpec extends SparkSpec {
 
   test("usageInOrder only uses positively scoring basis vectors") {
     val basis = Array(SparseVec(0, 1), SparseVec(50, 51, 52))
-    assert(Basso.usageInOrder(SparseVec(0, 1), basis).toSeq == Seq(0))
-    assert(Basso.usageInOrder(SparseVec(50, 51), basis).toSeq == Seq(1))
-    assert(Basso.usageInOrder(SparseVec(90), basis).isEmpty)
+    def usageInOrder(g: SparseVec): Seq[Int] = {
+      val cover = new GreedyCover(basis)
+      Basso.use(cover, g, basis.indices.toArray)
+      cover.result.picks.toSeq
+    }
+    assert(usageInOrder(SparseVec(0, 1)) == Seq(0))
+    assert(usageInOrder(SparseVec(50, 51)) == Seq(1))
+    assert(usageInOrder(SparseVec(90)).isEmpty)
   }
 
   test("fit flips when the right side is larger") {
@@ -197,5 +202,13 @@ class BassoSpec extends SparkSpec {
   test("evaluate computes its quality in one Spark job") {
     val model = Basso.fitOriented(toDs(noisyRows), 24, Basso.Config(3, 0.6), flipped = false)
     assert(JobCount(s)(model.evaluate(3))._2 == 1)
+  }
+
+  test("a fit broadcasts its candidates once, whatever its rounds; evaluate broadcasts its prefix once") {
+    val (model, made) = BroadcastCount(s)(
+      Basso.fitOriented(toDs(noisyRows), 24, Basso.Config(3, 0.6), flipped = false))
+    assert(model.basis.length == 3)
+    assert(made == 1)
+    assert(BroadcastCount(s)(model.evaluate(3))._2 == 1)
   }
 }

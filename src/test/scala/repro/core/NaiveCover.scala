@@ -1,10 +1,29 @@
 package repro.core
 
 /** Reference greedy cover of Section 4.2: every round rescans every
-  * cluster with [[SecondPass.score]] (`rounds × clusters × |A| log`).
-  * The differential tests check the indexed [[GreedyCover]] against it.
+  * cluster with [[score]] (`rounds × clusters × |A| log`). The
+  * differential tests check the indexed [[GreedyCover]] against it.
   */
 object NaiveCover {
+
+  /** The covering score of Section 4.2:
+    * `score(A | X, Y) = |(X∖Y) ∩ A| − |A ∖ (X∪Y)|` — newly covered
+    * elements minus fresh overcover.
+    */
+  def score(a: SparseVec, x: SparseVec, y: SparseVec): Int = {
+    var covered = 0
+    var over = 0
+    var i = 0
+    while (i < a.idx.length) {
+      val j = a.idx(i)
+      val inX = x.contains(j)
+      val inY = y.contains(j)
+      if (inX && !inY) covered += 1
+      else if (!inX && !inY) over += 1
+      i += 1
+    }
+    covered - over
+  }
 
   /** The picks in order, each with the score it earned when taken. */
   def coverVertexWithScores(
@@ -19,7 +38,7 @@ object NaiveCover {
       var best = -1; var bestScore = 0
       var i = 0
       while (i < rightClusters.length) {
-        val s = SecondPass.score(rightClusters(i), g, y)
+        val s = score(rightClusters(i), g, y)
         if (s > bestScore) { bestScore = s; best = i }
         i += 1
       }

@@ -43,27 +43,27 @@ class SecondPassSpec extends SparkSpec {
   test("score with empty Y is |X∩A| - |A\\X|") {
     val a = SparseVec(1, 2, 3, 4)
     val x = SparseVec(2, 3, 9)
-    assert(SecondPass.score(a, x, SparseVec.empty) == 2 - 2)
+    assert(NaiveCover.score(a, x, SparseVec.empty) == 2 - 2)
   }
 
   test("score gives no credit for already-covered elements") {
     val a = SparseVec(1, 2)
     val x = SparseVec(1, 2)
     val y = SparseVec(1)
-    assert(SecondPass.score(a, x, y) == 1)
+    assert(NaiveCover.score(a, x, y) == 1)
   }
 
   test("score does not re-penalize already-overcovered elements") {
     val a = SparseVec(5, 6)
     val x = SparseVec(5)
     val y = SparseVec(6) // 6 was overcovered before
-    assert(SecondPass.score(a, x, y) == 1)
+    assert(NaiveCover.score(a, x, y) == 1)
   }
 
   test("score of a fully covered set is zero") {
     val a = SparseVec(1, 2)
     val x = SparseVec(1, 2, 3)
-    assert(SecondPass.score(a, x, a) == 0)
+    assert(NaiveCover.score(a, x, a) == 0)
   }
 
   test("score matches its set-algebra definition on random inputs") {
@@ -74,7 +74,7 @@ class SecondPassSpec extends SparkSpec {
       val y = SparseVec.fromArray(Array.fill(rng.nextInt(15))(rng.nextInt(40)))
       val expected = ((x.toSet diff y.toSet) intersect a.toSet).size -
         (a.toSet diff (x.toSet union y.toSet)).size
-      assert(SecondPass.score(a, x, y) == expected)
+      assert(NaiveCover.score(a, x, y) == expected)
     }
   }
 

@@ -37,6 +37,14 @@ class BipartiteSpec extends SparkSpec {
     assert(a.toSeq == b.toSeq)
   }
 
+  test("every planted and surrogate dataset has Slices partitions, whatever the master") {
+    val sets = (planted +: Bipartite.Surrogates.keys.toSeq.sorted.map(Bipartite.surrogate(spark, _)))
+    sets.foreach { p =>
+      assert(p.left.rdd.getNumPartitions == Bipartite.Slices)
+    }
+    assert(planted.leftTruth.rdd.getNumPartitions == Bipartite.Slices)
+  }
+
   test("generation is independent of partitioning") {
     val repart = Bipartite.planted(spark, pp).left.repartition(13)
     val a = planted.left.collect().sortBy(_.u).map(_.nbrs.toSeq)

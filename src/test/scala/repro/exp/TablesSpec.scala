@@ -32,7 +32,7 @@ class TablesSpec extends SparkSpec {
 
   test("render prints paper and measured rows for every cell") {
     val cells = for (k <- Tables.OurKs; a <- RealWorldGrid.Algos; d <- Tables.Datasets)
-      yield Cell(d, k, a, 0.5, 0.6, 1.0, 2.0, ok = true)
+      yield Cell(d, k, a, 0.5, 0.6, 1.0, 2.0, error = None)
     val out = Tables.render("t", cells, Tables.PaperGain, _.gain)
     assert(out.linesIterator.count(_.contains("measured")) == Tables.OurKs.size * RealWorldGrid.Algos.size)
     assert(out.linesIterator.count(_.contains("paper")) == Tables.OurKs.size * RealWorldGrid.Algos.size)
@@ -40,7 +40,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("render marks failed and missing cells with a dash") {
-    val cells = Seq(Cell("20News", 10, "basso", 1.0, 1.0, 1.0, 1.0, ok = false))
+    val cells = Seq(Cell("20News", 10, "basso", 1.0, 1.0, 1.0, 1.0, error = Some("failed")))
     val out = Tables.render("t", cells, Tables.PaperGain, _.gain)
     val measuredBasso = out.linesIterator
       .find(l => l.contains("basso") && l.contains("measured") && l.startsWith("10")).get
@@ -48,7 +48,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("render applies the custom number format") {
-    val cells = Seq(Cell("20News", 10, "sofa", 0.123456, 0, 12.345, 0, ok = true))
+    val cells = Seq(Cell("20News", 10, "sofa", 0.123456, 0, 12.345, 0, error = None))
     val out = Tables.render("t", cells, Tables.PaperMinutes, _.seconds, v => f"$v%.1f")
     assert(out.contains("12.3"))
   }
