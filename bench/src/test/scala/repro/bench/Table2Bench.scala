@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{RealWorldGrid, Tables}
+import repro.exp.Tables
 
 /** Table 2: relative Hamming gain on the real-world surrogates.
   *

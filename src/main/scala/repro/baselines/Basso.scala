@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.core.{GreedyCover, LeftAssignment, LeftVertex, Metrics, SecondPass, SparseVec}
+import repro.data.Bipartite
 
 /** Signals that the dense association matrix would not fit the memory
   * budget — reproduces the paper's basso out-of-memory on Wiki.
@@ -29,13 +30,15 @@ final class BassoOutOfMemory(msg: String) extends RuntimeException(msg)
   *
   * Because Asso is greedy, the basis for `k' < k` is a prefix of the
   * basis for `k`; [[Model.evaluate]] evaluates any prefix, so one `fit`
-  * serves all k values of the evaluation grid.
+  * serves all k values of the evaluation grid. The association counts
+  * do not depend on τ either, so one `fit` also serves every τ of the
+  * line search: it returns one [[Model]] per τ, all on the same rows.
   */
 object Basso {
 
   final case class Config(
       kMax: Int,
-      tau: Double,
+      taus: Seq[Double],
       maxAssocCells: Long = 100_000_000L,
   )
 
@@ -68,17 +71,17 @@ object Basso {
     }
   }
 
-  /** Fit on the (auto-flipped) matrix. `left` is the original stream,
-    * `nRight` the original number of right vertices. Only the
-    * transposed rows are built here, so only they are cached (they are
-    * the model's `rows` when `flipped`); `left` is read as the caller
-    * left it.
+  /** Fit every τ of `cfg` on the (auto-flipped) matrix, one [[Model]]
+    * per τ in `cfg.taus` order. `left` is the original stream, `nRight`
+    * the original number of right vertices. Only the transposed rows are
+    * built here, so only they are cached (they are every model's `rows`
+    * when `flipped`); `left` is read as the caller left it.
     */
   def fit(
       left: Dataset[LeftVertex],
       nRight: Int,
       cfg: Config,
-  )(implicit spark: SparkSession): Model = {
+  )(implicit spark: SparkSession): Seq[Model] = {
     val mU = left.count()
     val flip = nRight > mU
     val nCols = if (flip) mU.toInt else nRight
@@ -87,15 +90,17 @@ object Basso {
     fitOriented(rows, nCols, cfg, flip)
   }
 
-  /** Fit on `rows` as given. They are read once per greedy round, so a
-    * caller with costly rows caches them; this does not.
+  /** Fit every τ of `cfg` on `rows` as given, one [[Model]] per τ. The
+    * rows are read once for the association counts, which every τ
+    * shares, and once per greedy round of each τ, so a caller with
+    * costly rows caches them; this does not.
     */
   def fitOriented(
       rows: Dataset[LeftVertex],
       nCols: Int,
       cfg: Config,
       flipped: Boolean,
-  )(implicit spark: SparkSession): Model = {
+  )(implicit spark: SparkSession): Seq[Model] = {
     import spark.implicits._
     val cells = requireBudget(nCols, cfg)
     // Dense association counts, accumulated per partition then summed.
@@ -124,36 +129,33 @@ object Basso {
         x
       }
 
-    // τ-thresholded candidates (one per column with support).
-    val candidates: Array[SparseVec] = (0 until n).flatMap { i =>
-      val ni = assoc(i * n + i)
-      if (ni <= 0) None
-      else {
-        val cut = cfg.tau * ni
-        val members = (0 until n).filter(j => assoc(i * n + j) >= cut)
-        Some(SparseVec.fromArray(members.toArray))
-      }
-    }.toArray
+    cfg.taus.map { tau =>
+      // τ-thresholded candidates (one per column with support).
+      val candidates: Array[SparseVec] = (0 until n).filter(i => assoc(i * n + i) > 0).map { i =>
+        val cut = tau * assoc(i * n + i)
+        SparseVec.fromArray((0 until n).filter(j => assoc(i * n + j) >= cut).toArray)
+      }.toArray
 
-    // Greedy basis selection: each round replays every row's usage of
-    // the chosen candidates on one cover of all candidates, sums each
-    // candidate's positive gains and picks the unused candidate with the
-    // largest sum, the lowest index on ties.
-    val chosen = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val bcCand = spark.sparkContext.broadcast(Array(candidates))
-    var stop = candidates.isEmpty
-    while (chosen.length < cfg.kMax && !stop) {
-      val order = chosen.toArray
-      val gains = SecondPass.sumCovers(rows, bcCand, _.length) { (acc, cover, g) =>
-        use(cover, g, order)
-        cover.foreachGain((c, s) => acc(c) += s)
-      }.head
-      val best = gains.indices.filterNot(chosen.contains).maxByOption(gains(_)).filter(gains(_) > 0)
-      best.foreach(chosen += _)
-      stop = best.isEmpty
+      // Greedy basis selection: each round replays every row's usage of
+      // the chosen candidates on one cover of all candidates, sums each
+      // candidate's positive gains and picks the unused candidate with
+      // the largest sum, the lowest index on ties.
+      val chosen = scala.collection.mutable.ArrayBuffer.empty[Int]
+      val bcCand = spark.sparkContext.broadcast(Array(candidates))
+      var stop = candidates.isEmpty
+      while (chosen.length < cfg.kMax && !stop) {
+        val order = chosen.toArray
+        val gains = SecondPass.sumCovers(rows, bcCand, _.length) { (acc, cover, g) =>
+          use(cover, g, order)
+          cover.foreachGain((c, s) => acc(c) += s)
+        }.head
+        val best = gains.indices.filterNot(chosen.contains).maxByOption(gains(_)).filter(gains(_) > 0)
+        best.foreach(chosen += _)
+        stop = best.isEmpty
+      }
+      bcCand.destroy()
+      new Model(rows, nCols, chosen.map(candidates).toArray, flipped, cells)
     }
-    bcCand.destroy()
-    new Model(rows, nCols, chosen.map(candidates).toArray, flipped, cells)
   }
 
   /** The dense association matrix's cell count, or a
@@ -179,7 +181,8 @@ object Basso {
   }
 
   /** Transpose the bipartite stream: rows become right vertices with
-    * their incident left ids as neighbor indices. Right vertices with
+    * their incident left ids as neighbor indices, coalesced from the
+    * shuffle's partitions to [[Bipartite.Slices]]. Right vertices with
     * no edges are dropped (they carry no information for BMF).
     */
   def transpose(left: Dataset[LeftVertex], nRight: Int)(implicit spark: SparkSession): Dataset[LeftVertex] = {
@@ -190,5 +193,6 @@ object Basso {
       .mapGroups { (v, it) =>
         LeftVertex(v.toLong, it.map(_._2).toArray.sorted)
       }
+      .coalesce(Bipartite.Slices)
   }
 }

@@ -1,10 +1,8 @@
 package repro.data
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.SparseVec
 
 class BipartiteSpec extends SparkSpec {
   implicit lazy val s: SparkSession = spark
