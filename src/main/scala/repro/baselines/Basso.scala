@@ -72,21 +72,21 @@ object Basso {
   }
 
   /** Fit every τ of `cfg` on the (auto-flipped) matrix, one [[Model]]
-    * per τ in `cfg.taus` order. `left` is the original stream, `nRight`
-    * the original number of right vertices. Only the transposed rows are
-    * built here, so only they are cached (they are every model's `rows`
-    * when `flipped`); `left` is read as the caller left it.
+    * per τ in `cfg.taus` order. `left` is the original stream and `st`
+    * its statistics, of which only the side sizes `mU` and `nV` are read.
+    * Only the transposed rows are built here, so only they are cached
+    * (they are every model's `rows` when `flipped`); `left` is read as
+    * the caller left it.
     */
   def fit(
       left: Dataset[LeftVertex],
-      nRight: Int,
+      st: Bipartite.DatasetStats,
       cfg: Config,
   )(implicit spark: SparkSession): Seq[Model] = {
-    val mU = left.count()
-    val flip = nRight > mU
-    val nCols = if (flip) mU.toInt else nRight
+    val flip = st.nV > st.mU
+    val nCols = (if (flip) st.mU else st.nV).toInt
     requireBudget(nCols, cfg) // before anything is cached
-    val rows = if (flip) transpose(left, nRight).cache() else left
+    val rows = if (flip) transpose(left).cache() else left
     fitOriented(rows, nCols, cfg, flip)
   }
 
@@ -185,7 +185,7 @@ object Basso {
     * shuffle's partitions to [[Bipartite.Slices]]. Right vertices with
     * no edges are dropped (they carry no information for BMF).
     */
-  def transpose(left: Dataset[LeftVertex], nRight: Int)(implicit spark: SparkSession): Dataset[LeftVertex] = {
+  def transpose(left: Dataset[LeftVertex])(implicit spark: SparkSession): Dataset[LeftVertex] = {
     import spark.implicits._
     left
       .flatMap(lv => lv.nbrs.map(v => (v, lv.u.toInt)))

@@ -85,9 +85,14 @@ object Sofa {
     * this is exactly how restarts work internally and how the
     * distributed version merges per-partition center sets.
     *
-    * A phase that opens every item it reads re-streams the same `cMax`
-    * items in the same order, so the next phases repeat it exactly as
-    * long as every draw is certain (see [[certainRepeats]]); those are
+    * A restart re-streams the centers in their order and never changes
+    * a center's vector, so it reuses three answers of the phase before
+    * (DESIGN.md §2, "Restart reuse"): a re-streamed center takes its
+    * recorded nearest earlier center when that one opened again (the
+    * argmin of a set is the argmin of any subset that holds it, ties
+    * included); the index is kept, and truncated only at the first
+    * re-streamed center that does not open again; and phases that
+    * certainly repeat the one before (see [[certainRepeats]]) are
     * fast-forwarded: their `cMax − 1` draws are made and discarded, LB
     * is doubled and the restart counted, with no re-streaming.
     */
@@ -96,53 +101,79 @@ object Sofa {
     val index = new CenterIndex
     var lb = 1.0
     var restarts = 0
-    var pending: Iterator[Center] = items
+    // The items a restart re-streams before the unread tail of `items`:
+    // each one's record, the position among them of its nearest earlier
+    // center when it last opened (−1 for none), and that distance.
+    var again = Array.empty[Center]
+    var againNear = Array.empty[Int]
+    var againDist = Array.empty[Double]
+    // The records of the current phase's centers, by position.
+    val near = new Array[Int](cfg.cMax)
+    val nearDist = new Array[Double](cfg.cMax)
 
     while (true) {
       val centers = ArrayBuffer.empty[Center]
-      index.clear()
+      // Position among `centers` of each re-streamed item read, −1 if merged.
+      val reopened = new Array[Int](again.length)
+      var read = 0
       val f = samplingScale(lb, cfg)
       var cost = 0.0
       var overflow = false
       var merged = false
-      var wMin = Long.MaxValue
+      var wdMin = Double.MaxValue
 
-      while (pending.hasNext && !overflow) {
-        val u = pending.next()
-        if (centers.isEmpty) {
-          centers += u
-          index.add(u.vec)
-        } else {
-          val best = index.nearest(u.vec, cfg.alpha)
-          val bestD = index.nearestDist
-          val sampled = restarts < cfg.maxRestarts &&
-            rng.nextDouble() < math.min(u.weight.toDouble * bestD / f, 1.0)
-          if (sampled) {
-            centers += u
-            index.add(u.vec)
-            wMin = math.min(wMin, u.weight)
-            if (centers.length >= cfg.cMax) overflow = true
+      while ((read < again.length || items.hasNext) && !overflow) {
+        val restreamed = read < again.length
+        val u = if (restreamed) again(read) else items.next()
+        var best = -1
+        var bestD = 0.0
+        var opens = true
+        if (centers.nonEmpty) {
+          val r = if (restreamed) againNear(read) else -1
+          if (r >= 0 && reopened(r) >= 0) {
+            best = reopened(r)
+            bestD = againDist(read)
           } else {
-            merged = true
-            cost += u.weight.toDouble * bestD
-            val c = centers(best)
-            c.weight += u.weight
-            c.mg.merge(u.mg)
-            if (cost > 2.0 * lb) overflow = true
+            // The index holds exactly `centers` here: while it is ahead,
+            // every item read has reopened, so each re-streamed item's
+            // recorded center has too.
+            best = index.nearest(u.vec, cfg.alpha)
+            bestD = index.nearestDist
           }
+          opens = restarts < cfg.maxRestarts && {
+            val wd = u.weight.toDouble * bestD
+            wdMin = math.min(wdMin, wd)
+            rng.nextDouble() < math.min(wd / f, 1.0)
+          }
+        }
+        if (restreamed) { reopened(read) = if (opens) centers.length else -1; read += 1 }
+        if (opens) {
+          near(centers.length) = best
+          nearDist(centers.length) = bestD
+          // A larger index already holds `u` here: every item read so
+          // far reopened at the position it had in the phase before.
+          if (index.size == centers.length) index.add(u.vec)
+          centers += u
+          if (centers.length >= cfg.cMax) overflow = true
+        } else {
+          merged = true
+          index.truncate(centers.length)
+          cost += u.weight.toDouble * bestD
+          val c = centers(best)
+          c.weight += u.weight
+          c.mg.merge(u.mg)
+          if (cost > 2.0 * lb) overflow = true
         }
       }
 
-      if (!overflow && !pending.hasNext) return centers.toIndexedSeq
+      if (!overflow) return centers.toIndexedSeq
 
-      // Restart: double LB, re-stream current centers then the unread tail.
-      // (Iterator.++ takes its argument by name — capture the current
-      // tail in a val first, or the new iterator would lazily re-read
-      // the reassigned `pending` var and reference itself.)
+      // Restart: double LB, re-stream the current centers, then the
+      // re-streamed items this phase left unread, then the unread tail.
       lb *= 2.0
       restarts += 1
       if (!merged) {
-        var skip = certainRepeats(wMin, lb, restarts, cfg)
+        var skip = certainRepeats(wdMin, lb, restarts, cfg)
         while (skip > 0) {
           var draw = 1
           while (draw < cfg.cMax) { rng.nextDouble(); draw += 1 }
@@ -151,8 +182,20 @@ object Sofa {
           skip -= 1
         }
       }
-      val unread = pending
-      pending = centers.iterator ++ unread
+      val m = centers.length
+      val rest = again.length - read
+      val nextNear = java.util.Arrays.copyOf(near, m + rest)
+      val nextDist = java.util.Arrays.copyOf(nearDist, m + rest)
+      var i = 0
+      while (i < rest) {
+        val r = againNear(read + i)
+        nextNear(m + i) = if (r < 0) -1 else if (r < read) reopened(r) else m + r - read
+        nextDist(m + i) = againDist(read + i)
+        i += 1
+      }
+      again = centers.toArray ++ again.drop(read)
+      againNear = nextNear
+      againDist = nextDist
     }
     sys.error("unreachable")
   }
@@ -163,22 +206,19 @@ object Sofa {
 
   /** How many phases in a row, starting with the one about to run at
     * `lb` with `restarts` restarts so far, repeat the phase before it
-    * exactly. That phase opened each of its `cMax` items (every item
-    * after the first through a draw, the lightest of those weighing
-    * `wMin`) and merged none. The next phase re-reads those items in
-    * that order, so each draws at the same distance `d`; the items are
-    * pairwise distinct (an item at `d = 0` is never opened), and
-    * `d = (|u|−∩) + α(|c|−∩)` of distinct items is at least
-    * `min(1, α)`. Sampling is therefore certain whenever
-    * `wMin·min(1, α) ≥ f` (then `w·d/f ≥ 1`) and the phase still
-    * samples (`restarts < maxRestarts`): it opens every item again,
-    * overflows, and the next phase faces the same question at `2·LB`.
+    * exactly. That phase opened each of its `cMax` items and merged
+    * none; `wdMin` is the smallest `w·d` of the items that drew. The
+    * next phase re-reads those items in that order, so each draws at
+    * the same `w·d`, and since division is monotone every draw is
+    * certain whenever `wdMin/f ≥ 1` (then `min(w·d/f, 1) = 1`) and the
+    * phase still samples (`restarts < maxRestarts`): it opens every item
+    * again, overflows, and the next phase faces the same question at
+    * `2·LB`.
     */
-  private[core] def certainRepeats(wMin: Long, lb: Double, restarts: Int, cfg: Config): Int = {
-    val floor = wMin.toDouble * math.min(1.0, cfg.alpha)
+  private[core] def certainRepeats(wdMin: Double, lb: Double, restarts: Int, cfg: Config): Int = {
     var n = 0
     var l = lb
-    while (restarts + n < cfg.maxRestarts && floor >= samplingScale(l, cfg)) { n += 1; l *= 2.0 }
+    while (restarts + n < cfg.maxRestarts && wdMin / samplingScale(l, cfg) >= 1.0) { n += 1; l *= 2.0 }
     n
   }
 
@@ -281,7 +321,7 @@ object GreedyBicluster {
   * serializable: every task builds its own.
   */
 private[repro] final class CenterIndex {
-  private var size = 0
+  private var count = 0
   private var nnz = new Array[Int](16)
   private var inter = new Array[Int](16)
   private var vecs = new Array[SparseVec](16)
@@ -292,11 +332,11 @@ private[repro] final class CenterIndex {
   var nearestDist: Double = Double.MaxValue
 
   /** Open a center with vector `v`; its index is the number of centers
-    * opened since the last [[clear]].
+    * open before it.
     */
   def add(v: SparseVec): Unit = {
-    if (size == nnz.length) {
-      val cap = 2 * size
+    if (count == nnz.length) {
+      val cap = 2 * count
       nnz = java.util.Arrays.copyOf(nnz, cap)
       inter = java.util.Arrays.copyOf(inter, cap)
       vecs = java.util.Arrays.copyOf(vecs, cap)
@@ -314,27 +354,33 @@ private[repro] final class CenterIndex {
       val len = postingLen(j)
       if (postings(j) == null) postings(j) = new Array[Int](4)
       else if (len == postings(j).length) postings(j) = java.util.Arrays.copyOf(postings(j), 2 * len)
-      postings(j)(len) = size
+      postings(j)(len) = count
       postingLen(j) = len + 1
       a += 1
     }
-    nnz(size) = v.nnz
-    vecs(size) = v
-    size += 1
+    nnz(count) = v.nnz
+    vecs(count) = v
+    count += 1
   }
 
-  /** Drop every center; the posting arrays are kept for reuse. */
-  def clear(): Unit = {
-    var c = 0
-    while (c < size) {
-      val cols = vecs(c).idx
+  /** Number of open centers. */
+  def size: Int = count
+
+  /** Keep the first `m` centers and drop the postings of the rest, the
+    * last entries of their columns' ascending lists; the posting arrays
+    * are kept for reuse.
+    */
+  def truncate(m: Int): Unit =
+    while (count > m) {
+      count -= 1
+      val cols = vecs(count).idx
       var a = 0
-      while (a < cols.length) { postingLen(cols(a)) = 0; a += 1 }
-      vecs(c) = null
-      c += 1
+      while (a < cols.length) { postingLen(cols(a)) -= 1; a += 1 }
+      vecs(count) = null
     }
-    size = 0
-  }
+
+  /** Drop every center. */
+  def clear(): Unit = truncate(0)
 
   /** The sets containing column `j < columns`, ascending, are
     * `postingList(j)(0 until postingLength(j))`; no set has a column
@@ -364,7 +410,7 @@ private[repro] final class CenterIndex {
     val un = u.nnz
     var best = -1; var bestD = Double.MaxValue
     var c = 0
-    while (c < size) {
+    while (c < count) {
       val i = inter(c)
       val d = (un - i).toDouble + alpha * (nnz(c) - i).toDouble
       inter(c) = 0

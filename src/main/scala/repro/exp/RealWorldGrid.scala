@@ -97,7 +97,7 @@ object RealWorldGrid {
     // each τ's evaluation) divided by |τ|: the average per τ.
     try {
       val t0 = System.nanoTime()
-      val models = Basso.fit(left, planted.nRight, Basso.Config(cfg.ks.max, Taus))
+      val models = Basso.fit(left, st, Basso.Config(cfg.ks.max, Taus))
       val fitSec = (System.nanoTime() - t0) / 1e9
       cfg.ks.foreach { k =>
         val evals = models.map { model =>

@@ -14,6 +14,12 @@ class BassoSpec extends SparkSpec {
     s.createDataset(vs.zipWithIndex.map { case (v, i) => LeftVertex(i.toLong, v.idx) })
   }
 
+  /** [[Basso.fit]] on `rows` over `nRight` right vertices, with the
+    * statistics a caller would have counted.
+    */
+  private def fit(rows: Dataset[LeftVertex], nRight: Int, cfg: Basso.Config): Seq[Basso.Model] =
+    Basso.fit(rows, Bipartite.stats(rows, nRight), cfg)
+
   test("noiseless block matrix is factorized exactly") {
     // Two disjoint blocks: rows 0-9 use cols {0..4}, rows 10-19 use {5..9}.
     val rows = (0 until 10).map(_ => SparseVec(0, 1, 2, 3, 4)) ++
@@ -90,14 +96,14 @@ class BassoSpec extends SparkSpec {
   test("fit flips when the right side is larger") {
     // 3 left vertices, 20 right vertices → flip expected.
     val rows = Seq(SparseVec(0, 1, 2), SparseVec(0, 1, 2), SparseVec(10, 11))
-    val model = Basso.fit(toDs(rows), 20, Basso.Config(2, Seq(0.6))).head
+    val model = fit(toDs(rows), 20, Basso.Config(2, Seq(0.6))).head
     assert(model.flipped)
     assert(model.nCols == 3)
   }
 
   test("fit does not flip when the left side is larger") {
     val rows = (0 until 20).map(_ => SparseVec(0, 1))
-    val model = Basso.fit(toDs(rows), 3, Basso.Config(1, Seq(0.6))).head
+    val model = fit(toDs(rows), 3, Basso.Config(1, Seq(0.6))).head
     assert(!model.flipped)
     assert(model.nCols == 3)
   }
@@ -110,13 +116,13 @@ class BassoSpec extends SparkSpec {
     }
     // Through fit, flipped: 3 rows give 9 cells over a budget of 8.
     intercept[BassoOutOfMemory] {
-      Basso.fit(toDs(Seq.fill(3)(SparseVec(0, 1))), 20, Basso.Config(2, Seq(0.6), maxAssocCells = 8L))
+      fit(toDs(Seq.fill(3)(SparseVec(0, 1))), 20, Basso.Config(2, Seq(0.6), maxAssocCells = 8L))
     }
   }
 
   test("transpose inverts the bipartite adjacency") {
     val ds = toDs(Seq(SparseVec(0, 2), SparseVec(2)))
-    val t = Basso.transpose(ds, 3).collect().sortBy(_.u)
+    val t = Basso.transpose(ds).collect().sortBy(_.u)
     assert(t.map(lv => (lv.u, lv.nbrs.toSeq)).toSeq ==
       Seq((0L, Seq(0)), (2L, Seq(0, 1))))
   }
@@ -124,7 +130,7 @@ class BassoSpec extends SparkSpec {
   test("transpose twice is identity on non-isolated vertices") {
     val rows = Seq(SparseVec(0, 1, 5), SparseVec(1, 2), SparseVec(5))
     val ds = toDs(rows)
-    val back = Basso.transpose(Basso.transpose(ds, 6), 3).collect().sortBy(_.u)
+    val back = Basso.transpose(Basso.transpose(ds)).collect().sortBy(_.u)
     assert(back.map(lv => (lv.u, lv.nbrs.toSeq)).toSeq ==
       rows.zipWithIndex.map { case (v, i) => (i.toLong, v.idx.toSeq) })
   }
@@ -171,7 +177,7 @@ class BassoSpec extends SparkSpec {
 
   test("evaluate's quality equals Metrics.bmfQuality on a flipped fit") {
     // The noisy blocks transposed: 24 rows over 60 columns, so fit flips back.
-    val model = Basso.fit(toDs(columnsOf(noisyRows)), 60, Basso.Config(3, Seq(0.6))).head
+    val model = fit(toDs(columnsOf(noisyRows)), 60, Basso.Config(3, Seq(0.6))).head
     assert(model.flipped && model.basis.nonEmpty)
     qualityMatchesReference(model)
   }
@@ -185,7 +191,7 @@ class BassoSpec extends SparkSpec {
   test("fit and fitOriented leave an uncached, unflipped input uncached") {
     import org.apache.spark.storage.StorageLevel
     val rows = toDs(noisyRows)
-    val viaFit = Basso.fit(rows, 24, Basso.Config(3, Seq(0.6))).head
+    val viaFit = fit(rows, 24, Basso.Config(3, Seq(0.6))).head
     assert(!viaFit.flipped && (viaFit.rows eq rows))
     assert(rows.storageLevel == StorageLevel.NONE)
     Basso.fitOriented(rows, 24, Basso.Config(3, Seq(0.6)), flipped = false)
@@ -194,7 +200,7 @@ class BassoSpec extends SparkSpec {
 
   test("fit caches the transposed rows it builds") {
     import org.apache.spark.storage.StorageLevel
-    val model = Basso.fit(toDs(Seq(SparseVec(0, 1, 2), SparseVec(0, 1, 2), SparseVec(10, 11))), 20,
+    val model = fit(toDs(Seq(SparseVec(0, 1, 2), SparseVec(0, 1, 2), SparseVec(10, 11))), 20,
       Basso.Config(2, Seq(0.6))).head
     assert(model.flipped && model.rows.storageLevel != StorageLevel.NONE)
     model.rows.unpersist()
@@ -237,14 +243,14 @@ class BassoSpec extends SparkSpec {
   test("each τ of a many-τ fit equals its single-τ fit, on shared rows, flipped and unflipped") {
     Seq((mixedRows, 24), (columnsOf(mixedRows), 60)).foreach { case (rows, nRight) =>
       val ds = toDs(rows)
-      val both = Basso.fit(ds, nRight, Basso.Config(4, Seq(0.4, 0.6)))
+      val both = fit(ds, nRight, Basso.Config(4, Seq(0.4, 0.6)))
       assert(both.length == 2 && both.forall(_.rows eq both.head.rows))
       assert(both.head.flipped == (nRight == 60))
       val outs = outputs(both)
       // The two τ pick different bases here, so the models are not one fit twice.
       assert(outs(0)._2 != outs(1)._2)
       Seq(0.4, 0.6).zip(outs).foreach { case (tau, out) =>
-        val one = Basso.fit(ds, nRight, Basso.Config(4, Seq(tau))).head
+        val one = fit(ds, nRight, Basso.Config(4, Seq(tau))).head
         assert(outputs(Seq(one)).head == out, s"nRight=$nRight tau=$tau")
         if (one.flipped) one.rows.unpersist()
       }
@@ -256,7 +262,7 @@ class BassoSpec extends SparkSpec {
     val before = s.conf.get("spark.sql.shuffle.partitions")
     s.conf.set("spark.sql.shuffle.partitions", "64")
     try {
-      val model = Basso.fit(toDs(columnsOf(mixedRows)), 60, Basso.Config(2, Seq(0.4, 0.6))).head
+      val model = fit(toDs(columnsOf(mixedRows)), 60, Basso.Config(2, Seq(0.4, 0.6))).head
       assert(model.flipped)
       assert(model.rows.rdd.getNumPartitions == Bipartite.Slices)
       model.rows.unpersist()
@@ -264,21 +270,24 @@ class BassoSpec extends SparkSpec {
   }
 
   test("a fit counts, transposes and builds the association counts once, whatever its τ count") {
-    // Under adaptive execution `count` is two jobs (a map stage and the
-    // final aggregate), the transposition two (its shuffle's map stage
-    // and the cache build) and the association counts one; each τ then
-    // runs one gain job per round, here 3.
+    // The side sizes come from the caller's statistics, so a fit does
+    // not count its rows (under adaptive execution `count` is two jobs:
+    // a map stage and the final aggregate). The transposition is two
+    // jobs (its shuffle's map stage and the cache build) and the
+    // association counts one; each τ then runs one gain job per round,
+    // here 3.
     val flippedRows = toDs(columnsOf(noisyRows))
     val rows = toDs(noisyRows)
     assert(JobCount(s)(rows.count())._2 == 2)
+    val (flippedSt, st) = (Bipartite.stats(flippedRows, 60), Bipartite.stats(rows, 24))
     Seq(Seq(0.6), Seq(0.4, 0.6), Seq(0.4, 0.5, 0.6)).foreach { taus =>
-      val (flipped, flippedJobs) = JobCount(s)(Basso.fit(flippedRows, 60, Basso.Config(3, taus)))
+      val (flipped, flippedJobs) = JobCount(s)(Basso.fit(flippedRows, flippedSt, Basso.Config(3, taus)))
       assert(flipped.forall(m => m.flipped && m.basis.length == 3))
-      assert(flippedJobs == 2 + 2 + 1 + 3 * taus.length, s"taus=$taus")
+      assert(flippedJobs == 2 + 1 + 3 * taus.length, s"taus=$taus")
       flipped.head.rows.unpersist()
-      val (unflipped, jobs) = JobCount(s)(Basso.fit(rows, 24, Basso.Config(3, taus)))
+      val (unflipped, jobs) = JobCount(s)(Basso.fit(rows, st, Basso.Config(3, taus)))
       assert(unflipped.forall(m => !m.flipped && m.basis.length == 3))
-      assert(jobs == 2 + 1 + 3 * taus.length, s"taus=$taus")
+      assert(jobs == 1 + 3 * taus.length, s"taus=$taus")
     }
   }
 
@@ -290,7 +299,7 @@ class BassoSpec extends SparkSpec {
       import s.implicits._
       val ds = s.createDataset(s.sparkContext.parallelize(
         rows.zipWithIndex.map { case (v, i) => LeftVertex(i.toLong, v.idx) }, slices))
-      val models = Basso.fit(ds, nRight, Basso.Config(4, Seq(0.4, 0.6)))
+      val models = fit(ds, nRight, Basso.Config(4, Seq(0.4, 0.6)))
       try outputs(models) finally if (models.head.flipped) models.head.rows.unpersist()
     }
     Seq((mixedRows, 24), (columnsOf(mixedRows), 60)).foreach { case (rows, nRight) =>

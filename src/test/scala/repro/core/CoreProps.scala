@@ -330,7 +330,20 @@ object SofaClusterProps extends Properties("SofaCluster") {
     */
   private def skipsAfter(ps: Vector[NaiveSofa.Phase], i: Int, cfg: Sofa.Config): Int = {
     val p = ps(i)
-    if (p.merged) 0 else Sofa.certainRepeats(p.weights.tail.min, 2.0 * p.lb, p.restarts + 1, cfg)
+    if (p.merged) 0 else Sofa.certainRepeats(p.wdMin, 2.0 * p.lb, p.restarts + 1, cfg)
+  }
+
+  /** What the earlier rule skipped after the unmerged phase `p`: it
+    * bounded every `w·d` below by the lightest drawn weight times
+    * `min(1, α)`, the smallest distance between distinct items.
+    */
+  private def floorSkips(p: NaiveSofa.Phase, cfg: Sofa.Config): Int = {
+    val floor = p.weights.tail.min.toDouble * math.min(1.0, cfg.alpha)
+    var n = 0
+    var lb = 2.0 * p.lb
+    while (p.restarts + 1 + n < cfg.maxRestarts &&
+      floor >= lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))) { n += 1; lb *= 2.0 }
+    n
   }
 
   property("every fast-forwarded phase repeats the one before it in the naive run") =
@@ -345,6 +358,15 @@ object SofaClusterProps extends Properties("SofaCluster") {
       }
     }
 
+  property("the exact w·d rule skips every phase the weight floor skips") =
+    forAll(genItems, genConfig) { (items, cfg) =>
+      val ps = phases(items, cfg)
+      Prop.all(ps.indices.filterNot(ps(_).merged).map { i =>
+        val (exact, floor) = (skipsAfter(ps, i, cfg), floorSkips(ps(i), cfg))
+        Prop.classify(exact > floor, "exact rule skips more")((exact >= floor) :| s"phase $i: $exact < $floor")
+      }: _*)
+    }
+
   property("generated streams fast-forward some restart phases") = Prop {
     val cases = Gen.listOfN(200, Gen.zip(genItems, genConfig))
       .apply(Gen.Parameters.default, org.scalacheck.rng.Seed(1L)).get
@@ -352,6 +374,43 @@ object SofaClusterProps extends Properties("SofaCluster") {
       val ps = phases(items, cfg)
       ps.indices.map(skipsAfter(ps, _, cfg)).sum
     }.sum > 0
+  }
+
+  /** Which edge cases of restart reuse the naive run on `items` reaches.
+    * Phase `i + 1` re-streams `again(i + 1)`: the centers of phase `i`,
+    * then the re-streamed items phase `i` left unread.
+    *  - "recomputed": a center of phase `i` that phase `i + 1` reads
+    *    after merging the center nearest to it among the earlier
+    *    centers of phase `i`, so its record cannot answer;
+    *  - "truncated": phase `i + 1` reads a center of phase `i` and
+    *    merges it, so the index drops the rest of phase `i`'s centers;
+    *  - "unread": phase `i + 1` overflows before it has read all it
+    *    re-streams.
+    */
+  private def reuseCases(items: Vector[Item], cfg: Sofa.Config): Set[String] = {
+    val ps = phases(items, cfg)
+    val again = ps.indices.scanLeft(Vector.empty[Sofa.Center]) { (a, i) =>
+      ps(i).opened ++ a.drop(ps(i).read.length)
+    }
+    (0 until ps.length - 1).flatMap { i =>
+      val (prev, next) = (ps(i).opened, ps(i + 1))
+      def readAt(c: Sofa.Center): Int = next.read.indexWhere(_ eq c)
+      def merged(c: Sofa.Center): Boolean = readAt(c) >= 0 && !next.opened.exists(_ eq c)
+      val recomputed = prev.indices.drop(1).exists { q =>
+        val nearest = (0 until q).minBy(p => (prev(p).vec.asymDistTo(prev(q).vec, cfg.alpha), p))
+        readAt(prev(q)) >= 0 && merged(prev(nearest))
+      }
+      val truncated = prev.exists(merged)
+      val unread = next.read.length < again(i + 1).length
+      Seq("recomputed" -> recomputed, "truncated" -> truncated, "unread" -> unread).collect { case (k, true) => k }
+    }.toSet
+  }
+
+  property("generated streams reach every edge case of restart reuse") = {
+    val cases = Gen.listOfN(200, Gen.zip(genItems, genConfig))
+      .apply(Gen.Parameters.default, org.scalacheck.rng.Seed(1L)).get
+    val reached = cases.map { case (items, cfg) => reuseCases(items, cfg) }.reduce(_ ++ _)
+    (reached == Set("recomputed", "truncated", "unread")) :| s"reached $reached"
   }
 }
 
@@ -495,6 +554,43 @@ object CenterIndexProps extends Properties("CenterIndex") {
       val index = new CenterIndex
       cs.foreach(index.add)
       agrees(index, cs, qs, alpha)
+    }
+
+  /** Every posting list of `a` equals that of `b`; columns past the
+    * end of either index have empty lists.
+    */
+  private def samePostings(a: CenterIndex, b: CenterIndex): Prop = {
+    def list(x: CenterIndex, j: Int) =
+      if (j >= x.columns || x.postingLength(j) == 0) Seq.empty else x.postingList(j).take(x.postingLength(j)).toSeq
+    Prop.all((0 until math.max(a.columns, b.columns)).map { j =>
+      val (got, want) = (list(a, j), list(b, j))
+      (got == want) :| s"column $j: $got vs $want"
+    }: _*)
+  }
+
+  property("truncate(m) equals a fresh index over the first m sets, also after clear() and with sets added after") =
+    forAll(genCenters, genCenters, Gen.choose(0.0, 1.0), genCenters, genQueries, genAlpha) {
+      (before, cs, frac, added, qs, alpha) =>
+        val m = math.round(frac * cs.length).toInt
+        val index = new CenterIndex
+        before.foreach(index.add)
+        index.clear()
+        cs.foreach(index.add)
+        index.truncate(m)
+        val fresh = new CenterIndex
+        cs.take(m).foreach(fresh.add)
+        // Read the truncated index now: `&&` takes its right side by
+        // name, and the sets below are added before it is evaluated.
+        val size = (index.size == m) :| s"size ${index.size} != $m"
+        val postings = samePostings(index, fresh)
+        val queries = Prop.all(qs.map { u =>
+          val (got, want) = (index.nearest(u, alpha), fresh.nearest(u, alpha))
+          (got == want && java.lang.Double.doubleToRawLongBits(index.nearestDist) ==
+            java.lang.Double.doubleToRawLongBits(fresh.nearestDist)) :| s"query $u: $got vs $want"
+        }: _*)
+        added.foreach(index.add)
+        val grown = postingsAgree(index, cs.take(m) ++ added)
+        size && postings && queries && grown && agrees(index, cs.take(m) ++ added, qs, alpha)
     }
 
   property("an index reused after clear() equals the scan over its new centers") =

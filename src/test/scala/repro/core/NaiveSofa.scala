@@ -11,15 +11,18 @@ import scala.util.Random
 object NaiveSofa {
 
   /** A phase that ended in a restart: its LB and restart count, the
-    * centers it opened in order, their weights when it ended, and
-    * whether it merged any item.
+    * items it read in order, the centers it opened in order, their
+    * weights when it ended, whether it merged any item, and the
+    * smallest `w·d` of the items that drew (`Double.MaxValue` if none).
     */
   final case class Phase(
       lb: Double,
       restarts: Int,
+      read: Vector[Sofa.Center],
       opened: Vector[Sofa.Center],
       weights: Vector[Long],
       merged: Boolean,
+      wdMin: Double,
   )
 
   /** `onRestart(centerOverflow)` is called on every LB doubling: `true`
@@ -43,9 +46,12 @@ object NaiveSofa {
       var cost = 0.0
       var overflow = false
       var merged = false
+      var wdMin = Double.MaxValue
+      val read = Vector.newBuilder[Sofa.Center]
 
       while (pending.hasNext && !overflow) {
         val u = pending.next()
+        read += u
         if (centers.isEmpty) {
           centers += u
         } else {
@@ -56,8 +62,10 @@ object NaiveSofa {
             if (d < bestD) { bestD = d; best = j }
             j += 1
           }
-          val sampled = restarts < cfg.maxRestarts &&
+          val sampled = restarts < cfg.maxRestarts && {
+            wdMin = math.min(wdMin, u.weight.toDouble * bestD)
             rng.nextDouble() < math.min(u.weight.toDouble * bestD / f, 1.0)
+          }
           if (sampled) {
             centers += u
             if (centers.length >= cfg.cMax) overflow = true
@@ -75,7 +83,7 @@ object NaiveSofa {
       if (!overflow && !pending.hasNext) return centers.toIndexedSeq
 
       onRestart(centers.length >= cfg.cMax)
-      onPhase(Phase(lb, restarts, centers.toVector, centers.map(_.weight).toVector, merged))
+      onPhase(Phase(lb, restarts, read.result(), centers.toVector, centers.map(_.weight).toVector, merged, wdMin))
       lb *= 2.0
       restarts += 1
       val unread = pending
