@@ -34,8 +34,7 @@ object StreamingDemo {
       val dir = Files.createTempDirectory("sofa-stream").toFile
       planted.left.repartition(8).write.mode("overwrite").json(dir.getAbsolutePath)
 
-      val cfg = Sofa.Config(k = k, cMax = 4 * k, nRight = n,
-        mgCapacity = math.max(3 * pp.r, (0.05 * n).toInt))
+      val cfg = Sofa.Config.forDataset(Bipartite.stats(planted.left, n), k)
       val state = new SofaStreamState(cfg)
       val stream: Dataset[LeftVertex] = spark.readStream
         .schema(planted.left.schema)

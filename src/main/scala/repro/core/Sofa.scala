@@ -86,15 +86,14 @@ object Sofa {
     * distributed version merges per-partition center sets.
     *
     * A restart re-streams the centers in their order and never changes
-    * a center's vector, so it reuses three answers of the phase before
+    * a center's vector, so it reuses two answers of the phase before
     * (DESIGN.md §2, "Restart reuse"): a re-streamed center takes its
     * recorded nearest earlier center when that one opened again (the
     * argmin of a set is the argmin of any subset that holds it, ties
-    * included); the index is kept, and truncated only at the first
-    * re-streamed center that does not open again; and phases that
-    * certainly repeat the one before (see [[certainRepeats]]) are
-    * fast-forwarded: their `cMax − 1` draws are made and discarded, LB
-    * is doubled and the restart counted, with no re-streaming.
+    * included); and the index is kept, and truncated only at the first
+    * re-streamed center that does not open again. A phase that
+    * re-opens every item of the phase before therefore makes no index
+    * query: it costs its draws and one record read per item.
     */
   def cluster(items: Iterator[Center], cfg: Config): IndexedSeq[Center] = {
     val rng = new Random(cfg.seed)
@@ -116,11 +115,9 @@ object Sofa {
       // Position among `centers` of each re-streamed item read, −1 if merged.
       val reopened = new Array[Int](again.length)
       var read = 0
-      val f = samplingScale(lb, cfg)
+      val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
       var cost = 0.0
       var overflow = false
-      var merged = false
-      var wdMin = Double.MaxValue
 
       while ((read < again.length || items.hasNext) && !overflow) {
         val restreamed = read < again.length
@@ -140,11 +137,7 @@ object Sofa {
             best = index.nearest(u.vec, cfg.alpha)
             bestD = index.nearestDist
           }
-          opens = restarts < cfg.maxRestarts && {
-            val wd = u.weight.toDouble * bestD
-            wdMin = math.min(wdMin, wd)
-            rng.nextDouble() < math.min(wd / f, 1.0)
-          }
+          opens = restarts < cfg.maxRestarts && rng.nextDouble() < math.min(u.weight * bestD / f, 1.0)
         }
         if (restreamed) { reopened(read) = if (opens) centers.length else -1; read += 1 }
         if (opens) {
@@ -156,7 +149,6 @@ object Sofa {
           centers += u
           if (centers.length >= cfg.cMax) overflow = true
         } else {
-          merged = true
           index.truncate(centers.length)
           cost += u.weight.toDouble * bestD
           val c = centers(best)
@@ -172,16 +164,6 @@ object Sofa {
       // re-streamed items this phase left unread, then the unread tail.
       lb *= 2.0
       restarts += 1
-      if (!merged) {
-        var skip = certainRepeats(wdMin, lb, restarts, cfg)
-        while (skip > 0) {
-          var draw = 1
-          while (draw < cfg.cMax) { rng.nextDouble(); draw += 1 }
-          lb *= 2.0
-          restarts += 1
-          skip -= 1
-        }
-      }
       val m = centers.length
       val rest = again.length - read
       val nextNear = java.util.Arrays.copyOf(near, m + rest)
@@ -198,28 +180,6 @@ object Sofa {
       againDist = nextDist
     }
     sys.error("unreachable")
-  }
-
-  /** The importance-sampling scale `f = LB/(k(1+log n))` of a phase. */
-  private def samplingScale(lb: Double, cfg: Config): Double =
-    lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
-
-  /** How many phases in a row, starting with the one about to run at
-    * `lb` with `restarts` restarts so far, repeat the phase before it
-    * exactly. That phase opened each of its `cMax` items and merged
-    * none; `wdMin` is the smallest `w·d` of the items that drew. The
-    * next phase re-reads those items in that order, so each draws at
-    * the same `w·d`, and since division is monotone every draw is
-    * certain whenever `wdMin/f ≥ 1` (then `min(w·d/f, 1) = 1`) and the
-    * phase still samples (`restarts < maxRestarts`): it opens every item
-    * again, overflows, and the next phase faces the same question at
-    * `2·LB`.
-    */
-  private[core] def certainRepeats(wdMin: Double, lb: Double, restarts: Int, cfg: Config): Int = {
-    var n = 0
-    var l = lb
-    while (restarts + n < cfg.maxRestarts && wdMin / samplingScale(l, cfg) >= 1.0) { n += 1; l *= 2.0 }
-    n
   }
 
   /** Postprocessing with the static k-medians step (Lines 21–25): group
@@ -298,8 +258,8 @@ object GreedyBicluster {
         c.mg.merge(MisraGries.ofVector(x, mgCapacity))
       }
     }
-    val clusters = centers.map(c => Sofa.threshold(c.mg, theta, c.weight)).toArray
-    Result(centers.toIndexedSeq, clusters)
+    val out = centers.toIndexedSeq
+    Result(out, Sofa.postprocessPerCenter(out, theta))
   }
 }
 

@@ -269,7 +269,7 @@ class BassoSpec extends SparkSpec {
     } finally s.conf.set("spark.sql.shuffle.partitions", before)
   }
 
-  test("a fit counts, transposes and builds the association counts once, whatever its τ count") {
+  test("a fit transposes and builds the association counts once, whatever its τ count") {
     // The side sizes come from the caller's statistics, so a fit does
     // not count its rows (under adaptive execution `count` is two jobs:
     // a map stage and the final aggregate). The transposition is two

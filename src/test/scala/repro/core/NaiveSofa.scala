@@ -10,20 +10,11 @@ import scala.util.Random
   */
 object NaiveSofa {
 
-  /** A phase that ended in a restart: its LB and restart count, the
-    * items it read in order, the centers it opened in order, their
-    * weights when it ended, whether it merged any item, and the
-    * smallest `w·d` of the items that drew (`Double.MaxValue` if none).
+  /** A phase that ended in a restart: the items it read in order and
+    * the centers it opened in order. The `i`-th such phase ran at
+    * LB `2^i`.
     */
-  final case class Phase(
-      lb: Double,
-      restarts: Int,
-      read: Vector[Sofa.Center],
-      opened: Vector[Sofa.Center],
-      weights: Vector[Long],
-      merged: Boolean,
-      wdMin: Double,
-  )
+  final case class Phase(read: Vector[Sofa.Center], opened: Vector[Sofa.Center])
 
   /** `onRestart(centerOverflow)` is called on every LB doubling: `true`
     * when the center budget overflowed, `false` when the cost did.
@@ -45,8 +36,6 @@ object NaiveSofa {
       val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
       var cost = 0.0
       var overflow = false
-      var merged = false
-      var wdMin = Double.MaxValue
       val read = Vector.newBuilder[Sofa.Center]
 
       while (pending.hasNext && !overflow) {
@@ -62,15 +51,12 @@ object NaiveSofa {
             if (d < bestD) { bestD = d; best = j }
             j += 1
           }
-          val sampled = restarts < cfg.maxRestarts && {
-            wdMin = math.min(wdMin, u.weight.toDouble * bestD)
+          val sampled = restarts < cfg.maxRestarts &&
             rng.nextDouble() < math.min(u.weight.toDouble * bestD / f, 1.0)
-          }
           if (sampled) {
             centers += u
             if (centers.length >= cfg.cMax) overflow = true
           } else {
-            merged = true
             cost += u.weight.toDouble * bestD
             val c = centers(best)
             c.weight += u.weight
@@ -83,7 +69,7 @@ object NaiveSofa {
       if (!overflow && !pending.hasNext) return centers.toIndexedSeq
 
       onRestart(centers.length >= cfg.cMax)
-      onPhase(Phase(lb, restarts, read.result(), centers.toVector, centers.map(_.weight).toVector, merged, wdMin))
+      onPhase(Phase(read.result(), centers.toVector))
       lb *= 2.0
       restarts += 1
       val unread = pending
