@@ -1,6 +1,7 @@
 package repro.jobs
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
@@ -27,19 +28,19 @@ object StreamingDemo {
       .appName("sofa-streaming-demo")
       .getOrCreate()
     import spark.implicits._
+    val dir = Files.createTempDirectory("sofa-stream")
     try {
       val pp = Bipartite.PlantedParams(k = k, ell = ell, n = n, r = 30, p = 0.8,
         expectedNoiseDeg = 10.0)
       val planted = Bipartite.planted(spark, pp)
-      val dir = Files.createTempDirectory("sofa-stream").toFile
-      planted.left.repartition(8).write.mode("overwrite").json(dir.getAbsolutePath)
+      planted.left.repartition(8).write.mode("overwrite").json(dir.toString)
 
       val cfg = Sofa.Config.forDataset(Bipartite.stats(planted.left, n), k)
       val state = new SofaStreamState(cfg)
       val stream: Dataset[LeftVertex] = spark.readStream
         .schema(planted.left.schema)
         .option("maxFilesPerTrigger", 2)
-        .json(dir.getAbsolutePath)
+        .json(dir.toString)
         .as[LeftVertex]
       val query = SofaStream.start(stream, state)
       query.processAllAvailable()
@@ -53,6 +54,10 @@ object StreamingDemo {
       val assign = SecondPass.assignBicluster(planted.left, rights)
       val ql = Metrics.qualityQLeft(planted.leftTruth, assign)
       println(f"left-cluster quality  Q = $ql%.3f")
-    } finally spark.stop()
+    } finally {
+      spark.stop()
+      val tree = Files.walk(dir)
+      try tree.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p)) finally tree.close()
+    }
   }
 }

@@ -87,33 +87,37 @@ object Sofa {
     *
     * A restart re-streams the centers in their order and never changes
     * a center's vector, so it reuses two answers of the phase before
-    * (DESIGN.md §2, "Restart reuse"): a re-streamed center takes its
-    * recorded nearest earlier center when that one opened again (the
-    * argmin of a set is the argmin of any subset that holds it, ties
-    * included); and the index is kept, and truncated only at the first
-    * re-streamed center that does not open again. A phase that
-    * re-opens every item of the phase before therefore makes no index
-    * query: it costs its draws and one record read per item.
+    * (DESIGN.md §2, "Restart reuse"): a center of the phase before
+    * takes its recorded nearest earlier center when that one opened
+    * again (the argmin of a set is the argmin of any subset that holds
+    * it, ties included); and the index is kept, and truncated only at
+    * the first re-streamed center that does not open again. A phase
+    * that re-opens every center of the phase before therefore makes no
+    * index query: it costs its draws and one record read per item. Any
+    * other item, including a re-streamed one that an overflow left
+    * unread, queries the index.
     */
   def cluster(items: Iterator[Center], cfg: Config): IndexedSeq[Center] = {
     val rng = new Random(cfg.seed)
     val index = new CenterIndex
     var lb = 1.0
     var restarts = 0
-    // The items a restart re-streams before the unread tail of `items`:
-    // each one's record, the position among them of its nearest earlier
-    // center when it last opened (−1 for none), and that distance.
+    // A restart re-streams the `carried` centers of the phase before,
+    // then any items an overflow left unread, then the unread tail.
     var again = Array.empty[Center]
-    var againNear = Array.empty[Int]
-    var againDist = Array.empty[Double]
-    // The records of the current phase's centers, by position.
-    val near = new Array[Int](cfg.cMax)
-    val nearDist = new Array[Double](cfg.cMax)
+    var carried = 0
+    // Each center's record, by position: the position of its nearest
+    // earlier center (−1 for none) and that distance, for this phase's
+    // centers and for the centers of the phase before.
+    var near = new Array[Int](cfg.cMax)
+    var nearDist = new Array[Double](cfg.cMax)
+    var lastNear = new Array[Int](cfg.cMax)
+    var lastDist = new Array[Double](cfg.cMax)
 
     while (true) {
       val centers = ArrayBuffer.empty[Center]
-      // Position among `centers` of each re-streamed item read, −1 if merged.
-      val reopened = new Array[Int](again.length)
+      // Position among `centers` of each carried center read, −1 if merged.
+      val reopened = new Array[Int](carried)
       var read = 0
       val f = lb / (cfg.k * (1.0 + math.log(cfg.nRight.toDouble)))
       var cost = 0.0
@@ -126,20 +130,21 @@ object Sofa {
         var bestD = 0.0
         var opens = true
         if (centers.nonEmpty) {
-          val r = if (restreamed) againNear(read) else -1
+          val r = if (read < carried) lastNear(read) else -1
           if (r >= 0 && reopened(r) >= 0) {
             best = reopened(r)
-            bestD = againDist(read)
+            bestD = lastDist(read)
           } else {
-            // The index holds exactly `centers` here: while it is ahead,
-            // every item read has reopened, so each re-streamed item's
-            // recorded center has too.
+            // The index holds exactly `centers` here: it starts the phase
+            // with the carried centers and is ahead only while every item
+            // read has reopened, when every record's center has too.
             best = index.nearest(u.vec, cfg.alpha)
             bestD = index.nearestDist
           }
           opens = restarts < cfg.maxRestarts && rng.nextDouble() < math.min(u.weight * bestD / f, 1.0)
         }
-        if (restreamed) { reopened(read) = if (opens) centers.length else -1; read += 1 }
+        if (read < carried) reopened(read) = if (opens) centers.length else -1
+        if (restreamed) read += 1
         if (opens) {
           near(centers.length) = best
           nearDist(centers.length) = bestD
@@ -164,20 +169,10 @@ object Sofa {
       // re-streamed items this phase left unread, then the unread tail.
       lb *= 2.0
       restarts += 1
-      val m = centers.length
-      val rest = again.length - read
-      val nextNear = java.util.Arrays.copyOf(near, m + rest)
-      val nextDist = java.util.Arrays.copyOf(nearDist, m + rest)
-      var i = 0
-      while (i < rest) {
-        val r = againNear(read + i)
-        nextNear(m + i) = if (r < 0) -1 else if (r < read) reopened(r) else m + r - read
-        nextDist(m + i) = againDist(read + i)
-        i += 1
-      }
       again = centers.toArray ++ again.drop(read)
-      againNear = nextNear
-      againDist = nextDist
+      carried = centers.length
+      val n = near; near = lastNear; lastNear = n
+      val d = nearDist; nearDist = lastDist; lastDist = d
     }
     sys.error("unreachable")
   }

@@ -35,10 +35,7 @@ object RealWorldGrid {
     def ok: Boolean = error.isEmpty
   }
 
-  final case class Config(
-      datasets: Seq[String] = Seq("20News", "Reuters", "Book", "Movie", "Flickr", "Wiki"),
-      ks: Seq[Int] = Seq(10, 20, 40),
-  )
+  final case class Config(datasets: Seq[String], ks: Seq[Int])
 
   // sofa's θ line search, basso's τ line search, RS's m̃ = ñ (see above).
   val Thetas: Seq[Double] = Seq(0.3, 0.4, 0.5, 0.6, 0.7)
@@ -47,7 +44,7 @@ object RealWorldGrid {
 
   val Algos: Seq[String] = Seq("sofa-auto", "sofa", "basso", "RSdhillon", "RSzhaEtAl")
 
-  def run(cfg: Config = Config())(implicit spark: SparkSession): Seq[Cell] = {
+  def run(cfg: Config)(implicit spark: SparkSession): Seq[Cell] = {
     cfg.datasets.flatMap { name => runDataset(name, cfg) }
   }
 
