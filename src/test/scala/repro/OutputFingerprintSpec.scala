@@ -10,17 +10,22 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.{Sofa, SofaDistributed}
 import repro.data.Bipartite
+import repro.exp.{RealWorldGrid, Tables}
 import repro.stream.SofaStreamState
 
-/** Bit-identity of sofa's first-pass outputs, against the committed
-  * golden file `output-fingerprints.txt`.
+/** Bit-identity of sofa's first-pass outputs and of the small
+  * datasets' grid cells, against the committed golden file
+  * `output-fingerprints.txt`.
   *
-  * Each entry is the SHA-256 of a center set in output order: every
-  * center's vector, weight, sketch entries sorted by column, and sketch
-  * total. The inputs do not depend on the host: the surrogates come in
-  * `Bipartite.Slices` partitions, and so does every stream batch here.
-  * A change that is meant to move an output replaces the golden file
-  * with the one a failure prints, and lists the entries that moved.
+  * A `firstPass/` or `stream/` entry is the SHA-256 of a center set in
+  * output order: every center's vector, weight, sketch entries sorted
+  * by column, and sketch total. A `grid/` entry is one `RealWorldGrid`
+  * cell of 20News or Reuters: the raw bits of its gain, recall and
+  * state MB, in hex. The inputs do not depend on the host: the
+  * surrogates come in `Bipartite.Slices` partitions, and so does every
+  * stream batch here. A change that is meant to move an output replaces
+  * the golden file with the one a failure prints, and lists the entries
+  * that moved.
   */
 class OutputFingerprintSpec extends SparkSpec {
   implicit lazy val s: SparkSession = spark
@@ -69,9 +74,18 @@ class OutputFingerprintSpec extends SparkSpec {
     fingerprint(state.centers)
   }
 
+  /** Every grid cell of 20News and Reuters at every k, keyed by cell. */
+  private def gridCells: Seq[(String, String)] = {
+    def bits(x: Double) = f"${java.lang.Double.doubleToRawLongBits(x)}%016x"
+    RealWorldGrid.run(RealWorldGrid.Config(Seq("20News", "Reuters"), Tables.OurKs)).map { c =>
+      s"grid/${c.dataset}/k${c.k}/${c.algo}" -> Seq(c.gain, c.recall, c.stateMB).map(bits).mkString(":")
+    }
+  }
+
   private def header: Seq[String] = Seq(
     "# SHA-256 of sofa's center sets (OutputFingerprintSpec): vector, weight,",
-    "# sorted sketch entries and sketch total of every center, in output order.",
+    "# sorted sketch entries and sketch total of every center, in output order;",
+    "# and the raw bits of gain:recall:stateMB of every 20News and Reuters grid cell.",
     s"# java.version ${System.getProperty("java.version")} (${System.getProperty("java.vm.name")})",
   )
 
@@ -84,19 +98,33 @@ class OutputFingerprintSpec extends SparkSpec {
       }.toSeq finally src.close()
     }
 
-  test("first-pass and stream-state fingerprints match the golden file") {
-    val now: Seq[(String, String)] =
-      Seq("20News", "Reuters", "Movie", "Wiki").map(d => s"firstPass/$d/k$K" -> firstPass(d)) :+
-        (s"stream/Wiki-1000rows-16batches/k$K" -> stream(rows = 1000, batches = 16))
-    val was = golden.toMap
+  /** Compare `now` against the golden entries whose key starts with one
+    * of `prefixes`; a failure prints the whole new file, with the other
+    * tests' golden entries kept as they are.
+    */
+  private def check(now: Seq[(String, String)], prefixes: String*): Unit = {
+    def mine(key: String) = prefixes.exists(key.startsWith)
+    val (kept, others) = golden.partition(e => mine(e._1))
+    val was = kept.toMap
     val moved = now.collect {
       case (key, hash) if !was.get(key).contains(hash) =>
         s"$key: golden ${was.getOrElse(key, "(none)")}, now $hash"
     } ++ was.keySet.diff(now.map(_._1).toSet).toSeq.sorted.map(k => s"$k: in the golden file, not computed")
     if (moved.nonEmpty) {
-      val file = (header ++ now.map { case (k, h) => s"$k $h" }).mkString("\n")
+      val file = (header ++ (now ++ others).map { case (k, h) => s"$k $h" }).mkString("\n")
       fail(s"${moved.size} fingerprint(s) differ from $Golden:\n  ${moved.mkString("\n  ")}\n" +
         s"The new file:\n$file\n")
     }
+  }
+
+  test("first-pass and stream-state fingerprints match the golden file") {
+    check(
+      Seq("20News", "Reuters", "Movie", "Wiki").map(d => s"firstPass/$d/k$K" -> firstPass(d)) :+
+        (s"stream/Wiki-1000rows-16batches/k$K" -> stream(rows = 1000, batches = 16)),
+      "firstPass/", "stream/")
+  }
+
+  test("grid cells of 20News and Reuters match the golden file") {
+    check(gridCells, "grid/")
   }
 }
