@@ -1,7 +1,10 @@
 package repro.jobs
 
 import java.nio.file.{Files, Path}
+import java.nio.file.attribute.FileTime
 import java.util.Comparator
+
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
@@ -34,6 +37,17 @@ object StreamingDemo {
         expectedNoiseDeg = 10.0)
       val planted = Bipartite.planted(spark, pp)
       planted.left.repartition(8).write.mode("overwrite").json(dir.toString)
+      // The file source forms its batches in modification-time order,
+      // and the parallel write leaves the part files' times in the order
+      // their tasks finished. Times one second apart in name (partition)
+      // order make every run read the same files in the same batches.
+      val parts = {
+        val listing = Files.list(dir)
+        try listing.iterator.asScala.filter(_.getFileName.toString.startsWith("part-")).toVector.sorted
+        finally listing.close()
+      }
+      val t0 = System.currentTimeMillis() - 1000L * parts.length
+      parts.zipWithIndex.foreach { case (p, i) => Files.setLastModifiedTime(p, FileTime.fromMillis(t0 + 1000L * i)) }
 
       val cfg = Sofa.Config.forDataset(Bipartite.stats(planted.left, n), k)
       val state = new SofaStreamState(cfg)

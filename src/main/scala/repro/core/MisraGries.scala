@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import java.util.Arrays
 
 /** Weighted, mergeable Misra–Gries heavy-hitters sketch (Section 2.3).
   *
@@ -17,10 +17,16 @@ import scala.collection.mutable
   * counter value from every counter and drop the non-positive ones.
   * `totalWeight` tracks `N` (the weight actually offered, not the
   * weight surviving compaction) so callers can bound the error.
+  *
+  * The counters live unboxed in two parallel arrays: `items` ascending
+  * and `counters`, of which the first `live` slots are in use. Reads
+  * return items in ascending order; a merge is one sorted merge.
   */
 final class MisraGries private (
     val capacity: Int,
-    private val counters: mutable.LongMap[Long],
+    private var items: Array[Int],
+    private var counters: Array[Long],
+    private var live: Int,
     private var total: Long,
 ) extends Serializable {
 
@@ -30,44 +36,61 @@ final class MisraGries private (
   def totalWeight: Long = total
 
   /** Number of live counters (≤ capacity). */
-  def size: Int = counters.size
+  def size: Int = live
 
   /** Lower-bound estimate of item `j`'s aggregate weight. */
-  def estimate(j: Int): Long = counters.getOrElse(j.toLong, 0L)
+  def estimate(j: Int): Long = {
+    val i = Arrays.binarySearch(items, 0, live, j)
+    if (i >= 0) counters(i) else 0L
+  }
 
   /** Maximum possible undercount: `totalWeight / (capacity + 1)`. */
   def errorBound: Long = total / (capacity + 1L)
 
-  /** Live (item, counter) pairs. */
-  def entries: Iterator[(Int, Long)] =
-    counters.iterator.map { case (k, v) => (k.toInt, v) }
+  /** Live (item, counter) pairs, in ascending item order. */
+  def entries: Iterator[(Int, Long)] = {
+    val (is, cs) = entryArrays
+    Iterator.range(0, is.length).map(i => (is(i), cs(i)))
+  }
 
   /** The live items and their counters as two parallel arrays, in
     * [[entries]] order, without boxing a tuple per counter.
     */
-  def entryArrays: (Array[Int], Array[Long]) = {
-    val items = new Array[Int](counters.size)
-    val counts = new Array[Long](counters.size)
-    var n = 0
-    counters.foreachEntry { (k, v) => items(n) = k.toInt; counts(n) = v; n += 1 }
-    (items, counts)
-  }
+  def entryArrays: (Array[Int], Array[Long]) =
+    (Arrays.copyOf(items, live), Arrays.copyOf(counters, live))
 
-  /** The items whose counter is at least `cut`, in no particular order. */
+  /** The live counters, in [[entries]] order. */
+  def counts: Array[Long] = Arrays.copyOf(counters, live)
+
+  /** The items whose counter is at least `cut`, ascending. */
   def itemsAtLeast(cut: Double): Array[Int] = {
-    val out = new Array[Int](counters.size)
+    val out = new Array[Int](live)
     var n = 0
-    counters.foreachEntry((k, v) => if (v >= cut) { out(n) = k.toInt; n += 1 })
-    java.util.Arrays.copyOf(out, n)
+    var i = 0
+    while (i < live) {
+      if (counters(i) >= cut) { out(n) = items(i); n += 1 }
+      i += 1
+    }
+    Arrays.copyOf(out, n)
   }
 
   /** Add item `j` with weight `w`. */
   def add(j: Int, w: Long = 1L): Unit = {
     require(w >= 0, s"negative weight $w")
     if (w == 0) return
-    counters(j.toLong) = counters.getOrElse(j.toLong, 0L) + w
     total += w
-    if (counters.size > capacity) compact()
+    val i = Arrays.binarySearch(items, 0, live, j)
+    if (i >= 0) counters(i) += w
+    else {
+      val at = -i - 1
+      reserve(live + 1)
+      System.arraycopy(items, at, items, at + 1, live - at)
+      System.arraycopy(counters, at, counters, at + 1, live - at)
+      items(at) = j
+      counters(at) = w
+      live += 1
+      if (live > capacity) compact()
+    }
   }
 
   /** Add every index of `v` with weight `w` (one left vertex's edges). */
@@ -76,37 +99,68 @@ final class MisraGries private (
     while (i < v.idx.length) { add(v.idx(i), w); i += 1 }
   }
 
-  /** Merge `other` into this sketch (the `MG_1 ∪ MG_2` of the paper). */
+  /** Merge `other` into this sketch (the `MG_1 ∪ MG_2` of the paper):
+    * one sorted merge, written back to front so that it needs no
+    * second buffer. When every item of `other` is already live, it
+    * adds the counters in place.
+    */
   def merge(other: MisraGries): this.type = {
-    other.counters.foreach { case (k, v) =>
-      counters(k) = counters.getOrElse(k, 0L) + v
+    val oi = other.items; val oc = other.counters; val on = other.live
+    var missing = 0
+    var a = 0; var b = 0
+    while (b < on) {
+      while (a < live && items(a) < oi(b)) a += 1
+      if (a < live && items(a) == oi(b)) a += 1 else missing += 1
+      b += 1
     }
+    reserve(live + missing)
+    a = live - 1; b = on - 1
+    var out = live + missing - 1
+    while (b >= 0) {
+      if (a >= 0 && items(a) > oi(b)) {
+        items(out) = items(a); counters(out) = counters(a); a -= 1
+      } else if (a >= 0 && items(a) == oi(b)) {
+        items(out) = items(a); counters(out) = counters(a) + oc(b); a -= 1; b -= 1
+      } else {
+        items(out) = oi(b); counters(out) = oc(b); b -= 1
+      }
+      out -= 1
+    }
+    live += missing
     total += other.total
-    if (counters.size > capacity) compact()
+    if (live > capacity) compact()
     this
   }
+
+  /** Room for `n` counters. */
+  private def reserve(n: Int): Unit =
+    if (n > items.length) {
+      val len = math.max(n, math.min(2 * items.length, capacity + 1))
+      items = Arrays.copyOf(items, len)
+      counters = Arrays.copyOf(counters, len)
+    }
 
   /** Subtract the (capacity+1)-th largest counter value from all
     * counters and drop the non-positive ones. After this at most
     * `capacity` counters remain strictly positive.
     */
   private def compact(): Unit = {
-    val values = counters.values.toArray
-    java.util.Arrays.sort(values)
-    // (capacity+1)-th largest = values[size - capacity - 1]
-    val d = values(values.length - capacity - 1)
-    val dead = mutable.ArrayBuffer.empty[Long]
-    counters.foreachEntry { (k, v) =>
-      if (v - d <= 0) dead += k else counters(k) = v - d
+    val values = Arrays.copyOf(counters, live)
+    Arrays.sort(values)
+    // (capacity+1)-th largest = values[live - capacity - 1]
+    val d = values(live - capacity - 1)
+    var n = 0
+    var i = 0
+    while (i < live) {
+      val v = counters(i) - d
+      if (v > 0) { items(n) = items(i); counters(n) = v; n += 1 }
+      i += 1
     }
-    dead.foreach(counters.remove)
+    live = n
   }
 
-  def copy(): MisraGries = {
-    val m = mutable.LongMap.empty[Long]
-    counters.foreachEntry((k, v) => m(k) = v)
-    new MisraGries(capacity, m, total)
-  }
+  def copy(): MisraGries =
+    new MisraGries(capacity, Arrays.copyOf(items, live), Arrays.copyOf(counters, live), live, total)
 
   override def toString: String =
     s"MisraGries(cap=$capacity, live=$size, total=$total)"
@@ -114,26 +168,52 @@ final class MisraGries private (
 
 object MisraGries {
   def apply(capacity: Int): MisraGries =
-    new MisraGries(capacity, mutable.LongMap.empty[Long], 0L)
+    new MisraGries(capacity, Array.emptyIntArray, Array.emptyLongArray, 0, 0L)
 
-  /** Sketch of a single left vertex: all its neighbor indices, weight `w`. */
+  /** Sketch of a single left vertex: all its neighbor indices, weight
+    * `w`. It equals adding the indices one by one: they are distinct
+    * and of equal weight, so every compaction (at `capacity + 1` equal
+    * counters) drops all of them, and the last `nnz mod (capacity + 1)`
+    * indices survive.
+    */
   def ofVector(v: SparseVec, capacity: Int, w: Long = 1L): MisraGries = {
-    val mg = apply(capacity)
-    mg.addAll(v, w)
-    mg
+    if (v.isEmpty) return apply(capacity)
+    require(w >= 0, s"negative weight $w")
+    if (w == 0) return apply(capacity)
+    val kept = v.nnz % (capacity + 1)
+    val counts = new Array[Long](kept)
+    Arrays.fill(counts, w)
+    new MisraGries(capacity, Arrays.copyOfRange(v.idx, v.nnz - kept, v.nnz), counts, kept, w * v.nnz)
   }
 
   /** Rebuild a sketch from serialized state (items, counters, total).
     * The state of a Misra–Gries sketch is exactly its counter map plus
-    * the offered-weight total, so this is lossless.
+    * the offered-weight total, so this is lossless. Items in ascending
+    * order are copied as they are; otherwise they are sorted, and a
+    * repeated item keeps its last counter.
     */
   def restore(capacity: Int, items: Array[Int], counts: Array[Long], total: Long): MisraGries = {
     require(items.length == counts.length)
-    val m = mutable.LongMap.empty[Long]
-    var i = 0
-    while (i < items.length) { m(items(i).toLong) = counts(i); i += 1 }
-    val mg = new MisraGries(capacity, m, total)
-    if (m.size > capacity) mg.compact()
+    var ascending = true
+    var i = 1
+    while (ascending && i < items.length) { ascending = items(i - 1) < items(i); i += 1 }
+    val mg =
+      if (ascending) new MisraGries(capacity, items.clone(), counts.clone(), items.length, total)
+      else {
+        // (item, position) keys: ascending items, each item's last position last.
+        val keys = Array.tabulate(items.length)(p => (items(p).toLong << 32) | p)
+        Arrays.sort(keys)
+        val is = new Array[Int](keys.length)
+        val cs = new Array[Long](keys.length)
+        var n = 0
+        keys.indices.foreach { k =>
+          if (k + 1 == keys.length || (keys(k + 1) >> 32) != (keys(k) >> 32)) {
+            is(n) = (keys(k) >> 32).toInt; cs(n) = counts(keys(k).toInt); n += 1
+          }
+        }
+        new MisraGries(capacity, is, cs, n, total)
+      }
+    if (mg.live > capacity) mg.compact()
     mg
   }
 }

@@ -215,12 +215,8 @@ object Sofa {
     centers.map(c => threshold(c.mg, theta, c.weight)).toArray
 
   /** `{ j : estimate(j) ≥ θ·W }` as a sparse vector. */
-  def threshold(mg: MisraGries, theta: Double, totalWeight: Long): SparseVec = {
-    val cut = theta * totalWeight
-    val items = mg.itemsAtLeast(cut)
-    java.util.Arrays.sort(items)
-    SparseVec.fromSortedDistinct(items)
-  }
+  def threshold(mg: MisraGries, theta: Double, totalWeight: Long): SparseVec =
+    SparseVec.fromSortedDistinct(mg.itemsAtLeast(theta * totalWeight))
 }
 
 /** Algorithm 1: the greedy variant analyzed in Theorem 1. Opens a new

@@ -45,40 +45,65 @@ object ThetaHeuristic {
       qGrid: Seq[Double] = DefaultQGrid,
   ): Double = {
     require(clusters.nonEmpty, "no clusters to fit θ on")
+    val pairs = (for (p <- pGrid; q <- qGrid if q < p) yield (p, q)).toArray
+    val ll = logLikelihoods(clusters, nRight, pairs)
     var bestTheta = 0.5
     var bestLL = Double.NegativeInfinity
-    for (p <- pGrid; q <- qGrid if q < p) {
-      val ll = logLikelihood(clusters, nRight, p, q)
-      if (ll > bestLL) { bestLL = ll; bestTheta = thetaFor(p, q) }
+    var t = 0
+    while (t < pairs.length) {
+      if (ll(t) > bestLL) { bestLL = ll(t); bestTheta = thetaFor(pairs(t)._1, pairs(t)._2) }
+      t += 1
     }
     bestTheta
   }
 
-  /** Bernoulli log-likelihood of every counter under the pair `(p, q)`:
-    * a counter at or above `θ(p,q)·W` counts as in-cluster (rate `p`),
+  /** Bernoulli log-likelihood of every counter under the pair `(p, q)`. */
+  private[core] def logLikelihood(clusters: Seq[ClusterCounters], nRight: Int, p: Double, q: Double): Double =
+    logLikelihoods(clusters, nRight, Array((p, q)))(0)
+
+  /** The log-likelihood of every counter under each pair `(p, q)`: a
+    * counter at or above `θ(p,q)·W` counts as in-cluster (rate `p`),
     * one below, or a column absent from the sketch, as out (rate `q`).
+    *
+    * One pass over the counters with the pair loop inside: per cluster
+    * the cuts are taken once, then each counter's term is added to
+    * every pair's sum. A pair's sum therefore receives the same terms in
+    * the same order as a pass over the counters for that pair alone.
     * The four logarithms are taken once per pair.
     */
-  private[core] def logLikelihood(clusters: Seq[ClusterCounters], nRight: Int, p: Double, q: Double): Double = {
-    val theta = thetaFor(p, q)
-    val logP = math.log(p); val log1mP = math.log1p(-p)
-    val logQ = math.log(q); val log1mQ = math.log1p(-q)
-    var ll = 0.0
+  private def logLikelihoods(
+      clusters: Seq[ClusterCounters],
+      nRight: Int,
+      pairs: Array[(Double, Double)],
+  ): Array[Double] = {
+    val n = pairs.length
+    val theta = pairs.map { case (p, q) => thetaFor(p, q) }
+    val logP = pairs.map(pq => math.log(pq._1)); val log1mP = pairs.map(pq => math.log1p(-pq._1))
+    val logQ = pairs.map(pq => math.log(pq._2)); val log1mQ = pairs.map(pq => math.log1p(-pq._2))
+    val ll = new Array[Double](n)
+    val cut = new Array[Double](n)
     clusters.foreach { c =>
       val w = c.totalWeight.toDouble
       if (w > 0) {
-        val cut = theta * w
+        var t = 0
+        while (t < n) { cut(t) = theta(t) * w; t += 1 }
         var i = 0
         while (i < c.counters.length) {
           val f = c.counters(i).toDouble
+          val g = w - f
           // f successes out of w trials under the rate implied by the
           // θ-induced in/out label.
-          ll += (if (f >= cut) f * logP + (w - f) * log1mP else f * logQ + (w - f) * log1mQ)
+          t = 0
+          while (t < n) {
+            ll(t) += (if (f >= cut(t)) f * logP(t) + g * log1mP(t) else f * logQ(t) + g * log1mQ(t))
+            t += 1
+          }
           i += 1
         }
         // Columns not present in the sketch: zero counters under q.
         val absent = (nRight - c.counters.length).max(0)
-        ll += absent * w * log1mQ
+        t = 0
+        while (t < n) { ll(t) += absent * w * log1mQ(t); t += 1 }
       }
     }
     ll
@@ -89,7 +114,7 @@ object ThetaHeuristic {
     */
   def selectFromCenters(centers: Seq[Sofa.Center], nRight: Int): Double =
     select(
-      centers.map(c => ClusterCounters(c.mg.entryArrays._2, c.weight)),
+      centers.map(c => ClusterCounters(c.mg.counts, c.weight)),
       nRight,
     )
 }

@@ -86,7 +86,7 @@ object MisraGriesProps extends Properties("MisraGries") {
       mg.size <= cap
     }
 
-  /** Weighted adds (item 0 often, as `LongMap` keeps key 0 apart),
+  /** Weighted adds (item 0 often, the key a `LongMap` kept apart),
     * sometimes merged with a second sketch, sometimes restored from its
     * entries into the same or a smaller capacity; small capacities, so
     * many sketches compact and drop counters.
@@ -121,6 +121,89 @@ object MisraGriesProps extends Properties("MisraGries") {
       Prop.classify(mg.estimate(0) > 0, "holds item 0")(
         Prop.classify(es.map(_._2).sum < mg.totalWeight, "compacted")(
           items.sameElements(es.map(_._1)) && counts.sameElements(es.map(_._2))))
+    }
+}
+
+/** Differential test of [[MisraGries]] against [[NaiveMisraGries]], the
+  * `LongMap` layout it replaced: the same operations on both give the
+  * same (item, counter) set and `totalWeight` after every step, and
+  * [[MisraGries.entries]] lists the items in ascending order.
+  */
+object MisraGriesDiffProps extends Properties("MisraGriesDiff") {
+  import Prop.propBoolean
+
+  private sealed trait Op
+  private final case class Add(j: Int, w: Long) extends Op
+  /** Merge the sketch of one vector at weight `w`. */
+  private final case class MergeVec(v: SparseVec, w: Long) extends Op
+  /** Merge a sketch over a random subset of the live items. */
+  private final case class MergeLive(seed: Long) extends Op
+  /** Replace the sketch by its entries, shuffled when `seed` is set,
+    * with `dupes` earlier entries repeated at the front, at capacity `cap`.
+    */
+  private final case class Restore(cap: Int, seed: Option[Long], dupes: Int) extends Op
+  private case object Copy extends Op
+
+  private val genItem: Gen[Int] = Gen.choose(0, 30)
+  private val genWeight: Gen[Long] = Gen.frequency(1 -> Gen.const(0L), 8 -> Gen.choose(1L, 20L))
+  private val genVec: Gen[SparseVec] =
+    Gen.listOf(genItem).map(l => SparseVec.fromArray(l.toArray))
+
+  private val genOp: Gen[Op] = Gen.frequency(
+    4 -> Gen.zip(genItem, genWeight).map(Add.tupled),
+    4 -> Gen.zip(genVec, genWeight).map(MergeVec.tupled),
+    3 -> Gen.long.map(MergeLive),
+    2 -> Gen.zip(Gen.choose(1, 12), Gen.option(Gen.long), Gen.choose(0, 3)).map(Restore.tupled),
+    1 -> Gen.const(Copy),
+  )
+
+  private def same(fast: MisraGries, naive: NaiveMisraGries): Boolean =
+    fast.entries.toSeq == naive.entries.toSeq.sorted &&
+      fast.totalWeight == naive.totalWeight && fast.size == naive.size
+
+  property("every operation sequence gives the naive sketch's counters") =
+    forAll(Gen.choose(1, 12), genVec, genWeight, Gen.listOf(genOp)) { (cap, v0, w0, ops) =>
+      var fast = MisraGries.ofVector(v0, cap, w0)
+      var naive = NaiveMisraGries.ofVector(v0, cap, w0)
+      val start = same(fast, naive) :| s"ofVector: ${fast.entries.toSeq} vs ${naive.entries.toSeq.sorted}"
+      var vectorCompacted = v0.nnz > cap && w0 > 0
+      var inPlace = false
+      var unsorted = false
+      val steps = ops.map { op =>
+        op match {
+          case Add(j, w) => fast.add(j, w); naive.add(j, w)
+          case MergeVec(v, w) =>
+            vectorCompacted ||= v.nnz > fast.capacity && w > 0
+            fast.merge(MisraGries.ofVector(v, fast.capacity, w))
+            naive.merge(NaiveMisraGries.ofVector(v, naive.capacity, w))
+          case MergeLive(seed) =>
+            val rng = new scala.util.Random(seed)
+            val (items, _) = fast.entryArrays
+            val picked = items.filter(_ => rng.nextBoolean())
+            val counts = picked.map(_ => 1L + rng.nextInt(20))
+            val total = counts.sum + rng.nextInt(5)
+            inPlace ||= picked.nonEmpty
+            fast.merge(MisraGries.restore(fast.capacity, picked, counts, total))
+            naive.merge(NaiveMisraGries.restore(naive.capacity, picked, counts, total))
+          case Restore(cap, seed, dupes) =>
+            val (is, cs) = fast.entryArrays
+            val order = seed.fold(is.indices.toVector)(s => new scala.util.Random(s).shuffle(is.indices.toVector))
+            val rows = order.take(dupes).map(i => (is(i), cs(i) + 1)) ++ order.map(i => (is(i), cs(i)))
+            val items = rows.map(_._1).toArray
+            unsorted ||= items.indices.drop(1).exists(i => items(i - 1) >= items(i))
+            fast = MisraGries.restore(cap, items, rows.map(_._2).toArray, fast.totalWeight)
+            naive = NaiveMisraGries.restore(cap, items, rows.map(_._2).toArray, naive.totalWeight)
+          case Copy =>
+            val (f, n) = (fast, naive)
+            fast = f.copy(); naive = n.copy()
+            f.add(0, 7); n.add(0, 7)
+        }
+        same(fast, naive) :| s"after $op: ${fast.entries.toSeq} vs ${naive.entries.toSeq.sorted}"
+      }
+      Prop.classify(vectorCompacted, "ofVector compacts")(
+        Prop.classify(inPlace, "in-place merge")(
+          Prop.classify(unsorted, "unsorted restore")(
+            Prop.all(start +: steps: _*))))
     }
 }
 

@@ -1,6 +1,6 @@
 package repro.stream
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.{JobCount, SparkSpec}
@@ -17,11 +17,18 @@ class SofaStreamSpec extends SparkSpec {
   private def cfg: Sofa.Config =
     Sofa.Config(k = 4, cMax = 24, nRight = planted.nRight, mgCapacity = 400)
 
-  test("state update folds batches and preserves stream weight") {
+  /** A micro-batch in `Bipartite.Slices` partitions, so its first pass
+    * splits the rows the same way on every master.
+    */
+  private def batchOf(rows: Seq[LeftVertex]): Dataset[LeftVertex] = {
     import s.implicits._
+    s.createDataset(s.sparkContext.parallelize(rows, Bipartite.Slices))
+  }
+
+  test("state update folds batches and preserves stream weight") {
     val state = new SofaStreamState(cfg)
     vertices.grouped(60).foreach { batch =>
-      state.update(s.createDataset(batch.toSeq))
+      state.update(batchOf(batch.toSeq))
     }
     assert(state.verticesSeen == vertices.length)
     assert(state.centers.map(_.weight).sum == vertices.length)
@@ -29,9 +36,8 @@ class SofaStreamSpec extends SparkSpec {
   }
 
   test("incremental batches reach quality close to one-shot clustering") {
-    import s.implicits._
     val state = new SofaStreamState(cfg)
-    vertices.grouped(40).foreach(b => state.update(s.createDataset(b.toSeq)))
+    vertices.grouped(40).foreach(b => state.update(batchOf(b.toSeq)))
     val qStream = Metrics.qualityQRight(
       planted.rightClusters.toSeq, state.rightClusters(0.5).toSeq)
 
@@ -45,9 +51,8 @@ class SofaStreamSpec extends SparkSpec {
   }
 
   test("candidateClusters exposes the per-center BMF view") {
-    import s.implicits._
     val state = new SofaStreamState(cfg)
-    state.update(s.createDataset(vertices.toSeq))
+    state.update(batchOf(vertices.toSeq))
     val cand = state.candidateClusters(0.5)
     assert(cand.length <= state.centers.length)
     assert(cand.forall(_.nnz > 0))
@@ -61,9 +66,8 @@ class SofaStreamSpec extends SparkSpec {
   }
 
   test("a replayed batch id leaves the state unchanged") {
-    import s.implicits._
     val state = new SofaStreamState(cfg)
-    val batches = vertices.grouped(50).map(b => s.createDataset(b.toSeq)).toVector
+    val batches = vertices.grouped(50).map(b => batchOf(b.toSeq)).toVector
     state.update(batches(0), 0L)
     state.update(batches(1), 1L)
     def snapshot = (state.verticesSeen,
@@ -77,19 +81,17 @@ class SofaStreamSpec extends SparkSpec {
   }
 
   test("update without a batch id folds every call") {
-    import s.implicits._
     val state = new SofaStreamState(cfg)
-    val batch = s.createDataset(vertices.take(60).toSeq)
+    val batch = batchOf(vertices.take(60).toSeq)
     state.update(batch)
     state.update(batch)
     assert(state.verticesSeen == 120)
   }
 
   test("update runs one Spark job per batch") {
-    import s.implicits._
     val state = new SofaStreamState(cfg)
     vertices.grouped(100).foreach { b =>
-      val batch = s.createDataset(b.toSeq)
+      val batch = batchOf(b.toSeq)
       assert(JobCount(s)(state.update(batch))._2 == 1)
     }
   }
