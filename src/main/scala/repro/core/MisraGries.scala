@@ -200,18 +200,12 @@ object MisraGries {
     val mg =
       if (ascending) new MisraGries(capacity, items.clone(), counts.clone(), items.length, total)
       else {
-        // (item, position) keys: ascending items, each item's last position last.
-        val keys = Array.tabulate(items.length)(p => (items(p).toLong << 32) | p)
-        Arrays.sort(keys)
-        val is = new Array[Int](keys.length)
-        val cs = new Array[Long](keys.length)
-        var n = 0
-        keys.indices.foreach { k =>
-          if (k + 1 == keys.length || (keys(k + 1) >> 32) != (keys(k) >> 32)) {
-            is(n) = (keys(k) >> 32).toInt; cs(n) = counts(keys(k).toInt); n += 1
-          }
+        // A stable sort by item; each run of a repeated item keeps its last.
+        val order = items.indices.sortBy(items(_))
+        val kept = order.indices.collect {
+          case k if k + 1 == order.length || items(order(k + 1)) != items(order(k)) => order(k)
         }
-        new MisraGries(capacity, is, cs, n, total)
+        new MisraGries(capacity, kept.map(items).toArray, kept.map(counts).toArray, kept.length, total)
       }
     if (mg.live > capacity) mg.compact()
     mg

@@ -146,7 +146,9 @@ object RealWorldGrid {
 object StateSize {
   private def mb(bytes: Long): Double = bytes.toDouble / (1024.0 * 1024.0)
 
-  /** Centers: index arrays (4 B/entry) + sketch counters (12 B/entry). */
+  /** Centers: index arrays (4 B/entry) + sketch counters (12 B/entry).
+    * 12 B per counter is `MisraGries`'s layout: an `Int` item and a `Long` counter.
+    */
   def sofa(centers: Seq[Sofa.Center]): Double =
     mb(centers.map(c => 4L * c.vec.nnz + 12L * c.mg.size + 32L).sum)
 
